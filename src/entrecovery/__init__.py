@@ -10,6 +10,7 @@ from .errors import (
     EmptyInputError,
     InputDomainError,
     NegativeWeightError,
+    NonFiniteWeightError,
     NotNormalizedError,
     OutOfRangeError,
     ResolutionTooLargeError,
@@ -46,6 +47,7 @@ __all__ = [
     "EmptyInputError",
     "InputDomainError",
     "NegativeWeightError",
+    "NonFiniteWeightError",
     "NotNormalizedError",
     "OutOfRangeError",
     "RecoveryProblem",

@@ -28,7 +28,6 @@ from .recovery import (
     RecoveryProblem,
     RegionClass,
     RegionGrid,
-    _CLASS_ORDER,
     bell_bound,
     can_concentrate_bell,
     classify_point,
@@ -131,16 +130,19 @@ def parse_spectrum(text: str, tol: Tolerance) -> SchmidtSpectrum:
 
 
 def write_region_csv(grid: RegionGrid, fh) -> None:
-    """Emit the grid as `p,q,class` rows, one per cell, deterministically."""
-    n = grid.n
-    labels = [cls.value for cls in _CLASS_ORDER]
-    qreprs = [repr(0.5 + j / (2 * n)) for j in range(n + 1)]
+    """Emit the grid as `p,q,class` rows, one write per grid row, deterministically."""
+    import numpy as np
+
+    cols = np.arange(grid.n + 1)
+    table = np.array(
+        [[f"{grid.q_value(j)!r},{cls.value}\n" for j in range(grid.n + 1)]
+         for cls in RegionClass],
+        dtype=object,
+    )
     fh.write("p,q,class\n")
-    for i in range(n + 1):
-        prepr = repr(0.5 + i / (2 * n))
-        row = grid.codes[i]
-        for j in range(n + 1):
-            fh.write(f"{prepr},{qreprs[j]},{labels[row[j]]}\n")
+    for i, row in enumerate(grid.codes):
+        prefix = f"{grid.p_value(i)!r},"
+        fh.write(prefix + prefix.join(table[row, cols].tolist()))
 
 
 def _cmd_transform(args, tol: Tolerance):
@@ -242,7 +244,7 @@ def _cmd_region(args, tol: Tolerance):
         },
         results={
             "cells": (args.n + 1) * (args.n + 1),
-            "counts": {cls.value: counts[cls] for cls in _CLASS_ORDER},
+            "counts": {cls.value: counts[cls] for cls in RegionClass},
         },
         status=0,
     )

@@ -17,6 +17,10 @@ class NegativeWeightError(InputDomainError):
     """A spectrum entry is negative beyond tolerance."""
 
 
+class NonFiniteWeightError(InputDomainError):
+    """A spectrum entry is NaN or infinite."""
+
+
 class NotNormalizedError(InputDomainError):
     """Spectrum weights do not sum to 1 within tolerance."""
 

@@ -52,10 +52,6 @@ def transform_verdict(
 
     The identity conversion is reported as Equal rather than refused.
     """
-    cls = compare(source, target, tol)
-    es = entropy(source)
-    et = entropy(target)
-    if cls in (Comparability.LEFT_MAJORIZED, Comparability.EQUAL):
-        # monotonicity: convertibility implies no entanglement gain
-        assert tol.geq(es, et)
-    return TransformVerdict(cls, es, et)
+    return TransformVerdict(
+        compare(source, target, tol), entropy(source), entropy(target)
+    )

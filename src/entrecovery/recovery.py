@@ -71,7 +71,10 @@ class RecoveryProblem:
 
 
 class RegionClass(enum.Enum):
-    """Classification of a point (p, q) of the auxiliary-pair plane."""
+    """Classification of a point (p, q) of the auxiliary-pair plane.
+
+    Definition order is the code order of RegionGrid.codes and CSV counts.
+    """
 
     COMPLETE_RECOVERY = "complete"
     TRUE_RECOVERY = "true"
@@ -81,16 +84,7 @@ class RegionClass(enum.Enum):
     INFEASIBLE_OTHER = "infeasible"
 
 
-# fixed code order for grid storage and CSV output
-_CLASS_ORDER = (
-    RegionClass.COMPLETE_RECOVERY,
-    RegionClass.TRUE_RECOVERY,
-    RegionClass.TRIVIAL_RECOVERY,
-    RegionClass.INCOMPARABLE,
-    RegionClass.ENTANGLEMENT_INCREASING,
-    RegionClass.INFEASIBLE_OTHER,
-)
-_CLASS_CODE = {cls: i for i, cls in enumerate(_CLASS_ORDER)}
+_CLASS_CODE = {cls: i for i, cls in enumerate(RegionClass)}
 
 
 def _require_unit_range(tol: Tolerance, **params: float) -> None:
@@ -220,8 +214,8 @@ class RegionGrid:
 
     codes[i, j] stores the class of (p_i, q_j) with p_i = 1/2 + i/(2n) and
     q_j = 1/2 + j/(2n), both exact float expressions, as an index into the
-    fixed class order (complete, true, trivial, incomparable, increasing,
-    infeasible).
+    RegionClass definition order (complete, true, trivial, incomparable,
+    increasing, infeasible).
     """
 
     a: float
@@ -236,11 +230,11 @@ class RegionGrid:
         return 0.5 + j / (2 * self.n)
 
     def class_at(self, i: int, j: int) -> RegionClass:
-        return _CLASS_ORDER[self.codes[i, j]]
+        return tuple(RegionClass)[self.codes[i, j]]
 
     def counts(self) -> dict[RegionClass, int]:
-        bins = np.bincount(self.codes.ravel(), minlength=len(_CLASS_ORDER))
-        return {cls: int(bins[_CLASS_CODE[cls]]) for cls in _CLASS_ORDER}
+        bins = np.bincount(self.codes.ravel(), minlength=len(RegionClass))
+        return {cls: int(bins[i]) for i, cls in enumerate(RegionClass)}
 
 
 def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
@@ -250,62 +244,58 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     classify_point on each (p_i, q_j): all per-axis quantities (sorted
     product spectra, prefix sums, pair entropies) are computed by the same
     scalar code, and the cross comparisons use the same IEEE operations.
-    Deterministic for fixed (a, b, n, eps).  Memory is O(n^2) bytes.
+    Deterministic for fixed (a, b, n, eps).  Peak extra memory is O(chunk x m)
+    for m = n + 1: each cross comparison is a 2-D mask, no 4-wide float tensor.
     """
     if n < 1:
         raise OutOfRangeError(f"grid resolution must be >= 1, got {n}")
     if n > MAX_GRID_N:
         raise ResolutionTooLargeError(f"grid resolution {n} exceeds {MAX_GRID_N}")
-    t = prob.tol
-    eps = t.eps
+    eps = prob.tol.eps
     a, b = prob.a, prob.b
     pts = [0.5 + i / (2 * n) for i in range(n + 1)]
     m = len(pts)
 
     x4 = np.array([_sorted_products(a, v) for v in pts])
     y4 = np.array([_sorted_products(b, v) for v in pts])
-    sx = np.empty((m, 3))
-    sy = np.empty((m, 3))
-    for k, arr, pref in ((0, x4, sx), (1, y4, sy)):
-        acc = np.zeros(m)
-        for col in range(3):
-            acc = acc + arr[:, col]
-            pref[:, col] = acc
+    # sequential left-to-right sums, as in is_majorized_by
+    sx = np.cumsum(x4[:, :3], axis=1)
+    sy = np.cumsum(y4[:, :3], axis=1)
     hv = np.array([_pair_entropy(v) for v in pts])
     pv = np.array(pts)
+    sx_eps, sy_eps, hv_eps, pv_eps = sx + eps, sy + eps, hv - eps, pv - eps
 
     # per-axis scalar masks
     near_b = np.abs(pv - b) <= eps  # rows where p is the complete-recovery abscissa
     near_a = np.abs(pv - a) <= eps  # columns where q matches the source parameter
-    q_below_a = pv < a - eps
+    gain_code = np.where(
+        pv < a - eps, _CLASS_CODE[RegionClass.TRUE_RECOVERY],
+        _CLASS_CODE[RegionClass.TRIVIAL_RECOVERY],
+    ).astype(np.uint8)
 
     codes = np.empty((m, m), dtype=np.uint8)
-    infeasible = _CLASS_CODE[RegionClass.INFEASIBLE_OTHER]
     chunk = max(1, min(m, 2_000_000 // m))
+    diff = np.empty((chunk, m))  # reused buffer for x_k - y_k
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        sxc = sx[lo:hi]
-        x4c = x4[lo:hi]
         fwd = np.ones((hi - lo, m), dtype=bool)
         rev = np.ones((hi - lo, m), dtype=bool)
+        equal = np.ones((hi - lo, m), dtype=bool)
         for k in range(3):
-            fwd &= sxc[:, k][:, None] <= (sy[:, k] + eps)[None, :]
-            rev &= sy[:, k][None, :] <= (sxc[:, k] + eps)[:, None]
-        equal = (np.abs(x4c[:, None, :] - y4[None, :, :]) <= eps).all(axis=-1)
-        gain = (pv[None, :] < (pv[lo:hi] - eps)[:, None]) & (
-            hv[lo:hi][:, None] < (hv - eps)[None, :]
-        )
+            fwd &= sx[lo:hi, k, None] <= sy_eps[:, k]
+            rev &= sy[:, k] <= sx_eps[lo:hi, k, None]
+        for k in range(4):
+            d = np.subtract(x4[lo:hi, k, None], y4[:, k], out=diff[: hi - lo])
+            equal &= np.abs(d, out=d) <= eps
+        gain = (pv < pv_eps[lo:hi, None]) & (hv[lo:hi, None] < hv_eps)
 
-        m1 = near_b[lo:hi][:, None] & near_a[None, :] & fwd
-        m2 = ~m1 & fwd & gain
-        m3 = ~m1 & ~m2 & rev & ~equal
-        m4 = ~m1 & ~m2 & ~m3 & ~fwd & ~rev
-
-        block = np.full((hi - lo, m), infeasible, dtype=np.uint8)
-        block[m1] = _CLASS_CODE[RegionClass.COMPLETE_RECOVERY]
-        block[m2 & q_below_a[None, :]] = _CLASS_CODE[RegionClass.TRUE_RECOVERY]
-        block[m2 & ~q_below_a[None, :]] = _CLASS_CODE[RegionClass.TRIVIAL_RECOVERY]
-        block[m3] = _CLASS_CODE[RegionClass.ENTANGLEMENT_INCREASING]
-        block[m4] = _CLASS_CODE[RegionClass.INCOMPARABLE]
-        codes[lo:hi] = block
+        # reverse precedence order: each later label overrides the earlier ones
+        block = codes[lo:hi]
+        block.fill(_CLASS_CODE[RegionClass.INFEASIBLE_OTHER])
+        block[~fwd & ~rev] = _CLASS_CODE[RegionClass.INCOMPARABLE]
+        block[rev & ~equal] = _CLASS_CODE[RegionClass.ENTANGLEMENT_INCREASING]
+        np.copyto(block, gain_code, where=fwd & gain)
+        block[near_b[lo:hi, None] & near_a & fwd] = _CLASS_CODE[
+            RegionClass.COMPLETE_RECOVERY
+        ]
     return RegionGrid(a=a, b=b, n=n, codes=codes)

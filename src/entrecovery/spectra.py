@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .errors import (
     EmptyInputError,
     NegativeWeightError,
+    NonFiniteWeightError,
     NotNormalizedError,
     OutOfRangeError,
 )
@@ -124,12 +125,14 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
 
     Raises
     ------
-    EmptyInputError, NegativeWeightError, NotNormalizedError
+    EmptyInputError, NonFiniteWeightError, NegativeWeightError, NotNormalizedError
     """
     vals = [float(v) for v in raw]
     if not vals:
         raise EmptyInputError("spectrum needs at least one weight")
     for v in vals:
+        if not math.isfinite(v):
+            raise NonFiniteWeightError(f"non-finite weight {v}")
         if v < -tol.eps:
             raise NegativeWeightError(f"negative weight {v}")
     total = sum(vals)

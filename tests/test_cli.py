@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -221,6 +222,79 @@ def test_region_csv_matches_library_writer(tmp_path, capsys):
     buf = io.StringIO()
     write_region_csv(region_grid(RecoveryProblem(0.6, 0.9), 6), buf)
     assert out_path.read_text(encoding="utf-8") == buf.getvalue()
+
+
+# sha256 of `region --out` bytes: any drift in the CSV format or a class shows here
+REGION_CSV_SHA256 = [
+    ("0.7", "0.8", "200", "1e-12",
+     "ea2580ebee93112f7589fa0d9642a22ea6d02a358d5ed09767bd6a3c8210a335"),
+    # n = 1500 runs the kernel over more than one chunk of rows
+    ("0.6", "0.9", "1500", "1e-12",
+     "d2a787f60c1b9802b5031d06ce7ba090a51d7761cad63e040c673f86ec70d629"),
+    ("0.625", "0.75", "64", "5e-4",
+     "e65850b56700f864f0eddcb5f6189614ec1afa49f26050588c08f0473985343b"),
+    ("0.6", "1.0", "301", "1e-12",
+     "2cb9df82526039776d8b753bdc8f3cacac09e6900888c51e9048adc829532aba"),
+    ("0.5", "0.51", "7", "9e-4",
+     "e058eb4f5f1c821d053a946987e9cfcdae7d5952f90bfdbe90e324f9f452b691"),
+]
+
+
+@pytest.mark.parametrize(
+    "a,b,n,eps,digest", REGION_CSV_SHA256,
+    ids=[f"a{c[0]}-b{c[1]}-n{c[2]}-eps{c[3]}" for c in REGION_CSV_SHA256],
+)
+def test_region_csv_golden_bytes(tmp_path, capsys, a, b, n, eps, digest):
+    out_path = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, "region", "--a", a, "--b", b, "--n", n,
+                     "--eps", eps, "--out", str(out_path))
+    assert code == 0
+    h = hashlib.sha256()
+    with out_path.open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    out_path.unlink()
+    assert h.hexdigest() == digest
+
+
+# a valid command line for every command, with the float flags it takes
+FLOAT_FLAG_COMMANDS = [
+    (["transform", "--source", "0.7,0.3", "--target", "0.8,0.2"],
+     ("--source", "--target", "--eps")),
+    (["transform", "--a", "0.7", "--b", "0.8"], ("--a", "--b", "--eps")),
+    (["classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.55"],
+     ("--a", "--b", "--p", "--q", "--eps")),
+    (["region", "--a", "0.7", "--b", "0.8", "--n", "4"], ("--a", "--b", "--eps")),
+    (["bell", "--a", "0.6", "--p", "0.7", "--b", "0.9"],
+     ("--a", "--p", "--b", "--eps")),
+]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag", ["--source", "--target", "--a", "--b", "--p", "--q", "--eps"]
+)
+def test_non_finite_float_argument_exits_2(capsys, flag, bad):
+    for base, flags in FLOAT_FLAG_COMMANDS:
+        if flag not in flags:
+            continue
+        value = f"{bad},0.5" if flag in ("--source", "--target") else bad
+        argv = list(base)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_transform_inside_eps_band_gives_verdict(capsys):
+    # entropies differ by more than eps here; this once tripped an assert
+    code, out, err = run(capsys, "transform", "--source", "0.999999999001,9.99e-10",
+                         "--target", "0.999999999,1e-09")
+    assert code in (0, 1)
+    assert "verdict: equal" in out and err == ""
 
 
 def test_json_key_order_is_stable(capsys):

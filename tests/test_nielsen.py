@@ -83,3 +83,13 @@ def test_transform_never_gains_entropy(seed, dim):
     x = doubly_stochastic_mix(rng, y)
     if can_transform(x, y):
         assert entropy(x) >= entropy(y) - 1e-9
+
+
+def test_verdict_inside_eps_band_does_not_raise():
+    # entries agree within eps, so the pair is Equal, yet the source entropy
+    # is ~3e-11 below the target's: more than eps, less than eps*log2(v1/v2)
+    source = make_spectrum([1 - 1e-9 + 1e-12, 1e-9 - 1e-12])
+    target = make_spectrum([1 - 1e-9, 1e-9])
+    v = transform_verdict(source, target)
+    assert v.comparability is Comparability.EQUAL
+    assert v.entropy_source < v.entropy_target

@@ -260,6 +260,28 @@ def test_region_grid_matches_scalar_classifier():
                 assert g.class_at(i, j) is classify_point(prob, p, q), (a, b, n, i, j)
 
 
+def test_region_class_order_is_code_order():
+    # grid codes and CSV counts follow the enum definition order
+    assert [c.value for c in RegionClass] == [
+        "complete", "true", "trivial", "incomparable", "increasing", "infeasible",
+    ]
+
+
+def test_region_grid_chunk_seam_matches_scalar_classifier():
+    # n = 1500 gives 1501 points per axis, which the kernel classifies in
+    # chunks of 2_000_000 // 1501 = 1332 rows: rows 1331 | 1332, 1333 straddle
+    # the first seam.  b = p_1332 and a = q_600 put the complete-recovery
+    # point on the first row of the second chunk.
+    n = 1500
+    prob = RecoveryProblem(0.7, 0.944)
+    g = region_grid(prob, n)
+    assert g.class_at(1332, 600) is RegionClass.COMPLETE_RECOVERY
+    for i in (1331, 1332, 1333):
+        p = g.p_value(i)
+        for j in range(n + 1):
+            assert g.class_at(i, j) is classify_point(prob, p, g.q_value(j)), (i, j)
+
+
 def test_region_grid_upper_triangle_infeasible():
     # q >= p never yields a strict entanglement gain in the auxiliary
     g = region_grid(RecoveryProblem(0.7, 0.8), 25)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from entrecovery import (
     EmptyInputError,
     NegativeWeightError,
+    NonFiniteWeightError,
     NotNormalizedError,
     OutOfRangeError,
     SchmidtSpectrum,
@@ -47,6 +48,13 @@ def test_make_spectrum_rejects_negative():
 def test_make_spectrum_rejects_unnormalized():
     with pytest.raises(NotNormalizedError):
         make_spectrum([0.5, 0.4])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_spectrum_rejects_non_finite(bad):
+    # NaN compares false against every bound, so it needs its own check
+    with pytest.raises(NonFiniteWeightError):
+        make_spectrum([bad, 0.3])
 
 
 def test_make_spectrum_clamps_tolerated_noise():
