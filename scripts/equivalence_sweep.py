@@ -50,8 +50,14 @@ def main():
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the random generator (default 0)")
     parser.add_argument("--margin", type=float, default=1e-6,
-                        help="minimum distance from decision boundaries")
+                        help="minimum distance from decision boundaries, in "
+                             "(0, 0.01] (default 1e-6)")
     args = parser.parse_args()
+    if args.samples < 1:
+        parser.error("--samples must be at least 1")
+    # above 0.25 no tuple satisfies b - a >= margin with b <= 1 - margin
+    if not 0.0 < args.margin <= 1e-2:
+        parser.error("--margin must lie in (0, 0.01]")
 
     rng = random.Random(args.seed)
     disagreements = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -232,6 +233,7 @@ def _cmd_region(args, tol: Tolerance):
             raise CliUsageError(f"cannot write {args.out}: {exc}")
     else:
         write_region_csv(grid, sys.stdout)
+        sys.stdout.flush()
     counts = grid.counts()
     record = OutputRecord(
         command="region",
@@ -335,13 +337,18 @@ def main(argv=None) -> int:
     try:
         tol = Tolerance(args.eps)
         record, status = args.func(args, tol)
-    except (InputDomainError, CliUsageError) as exc:
+        stream = sys.stdout
+        if args.cmd == "region" and args.out is None:
+            stream = sys.stderr  # CSV already occupies stdout
+        print(record.to_json() if args.json else record.to_text(), file=stream,
+              flush=True)
+    except (InputDomainError, CliUsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError) and sys.stdout is sys.__stdout__:
+            # closed pipe or full disk: the exit-time flush of what is still
+            # buffered would fail again, so it goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    stream = sys.stdout
-    if args.cmd == "region" and args.out is None:
-        stream = sys.stderr  # CSV already occupies stdout
-    print(record.to_json() if args.json else record.to_text(), file=stream)
     return status
 
 

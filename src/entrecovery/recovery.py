@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import OutOfRangeError, ResolutionTooLargeError
 from .majorization import is_majorized_by
 from .spectra import DEFAULT_TOL, SchmidtSpectrum, Tolerance, entropy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RecoveryProblem",
@@ -233,6 +235,7 @@ class RegionGrid:
         return tuple(RegionClass)[self.codes[i, j]]
 
     def counts(self) -> dict[RegionClass, int]:
+        import numpy as np
         bins = np.bincount(self.codes.ravel(), minlength=len(RegionClass))
         return {cls: int(bins[i]) for i, cls in enumerate(RegionClass)}
 
@@ -247,6 +250,7 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     Deterministic for fixed (a, b, n, eps).  Peak extra memory is O(chunk x m)
     for m = n + 1: each cross comparison is a 2-D mask, no 4-wide float tensor.
     """
+    import numpy as np
     if n < 1:
         raise OutOfRangeError(f"grid resolution must be >= 1, got {n}")
     if n > MAX_GRID_N:

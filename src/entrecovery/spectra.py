@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import (
     EmptyInputError,
+    InputDomainError,
     NegativeWeightError,
     NonFiniteWeightError,
     NotNormalizedError,
@@ -125,16 +126,22 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
 
     Raises
     ------
-    EmptyInputError, NonFiniteWeightError, NegativeWeightError, NotNormalizedError
+    InputDomainError (a weight that is not a real number), EmptyInputError,
+    NonFiniteWeightError, NegativeWeightError, NotNormalizedError
     """
-    vals = [float(v) for v in raw]
-    if not vals:
-        raise EmptyInputError("spectrum needs at least one weight")
-    for v in vals:
+    vals = []
+    for w in raw:
+        try:
+            v = float(w)
+        except (TypeError, ValueError) as exc:
+            raise InputDomainError(f"weight {w!r} is not a real number") from exc
         if not math.isfinite(v):
             raise NonFiniteWeightError(f"non-finite weight {v}")
         if v < -tol.eps:
             raise NegativeWeightError(f"negative weight {v}")
+        vals.append(v)
+    if not vals:
+        raise EmptyInputError("spectrum needs at least one weight")
     total = sum(vals)
     if abs(total - 1.0) > tol.eps:
         raise NotNormalizedError(f"weights sum to {total}, expected 1")

@@ -1,5 +1,8 @@
+import errno
 import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -217,8 +220,6 @@ def test_region_csv_matches_library_writer(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
     run(capsys, "region", "--a", "0.6", "--b", "0.9", "--n", "6",
         "--out", str(out_path))
-    import io
-
     buf = io.StringIO()
     write_region_csv(region_grid(RecoveryProblem(0.6, 0.9), 6), buf)
     assert out_path.read_text(encoding="utf-8") == buf.getvalue()
@@ -336,3 +337,35 @@ def test_missing_required_argument_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--a", "0.7", "--b", "0.8", "--p", "0.6"])
     assert exc.value.code == 2
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose every write fails, like a closed pipe or a full disk."""
+
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+@pytest.mark.parametrize(
+    "exc", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+            OSError(errno.ENOSPC, "No space left on device")],
+    ids=["broken-pipe", "disk-full"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["transform", "--a", "0.7", "--b", "0.8"],
+     ["classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.55"],
+     ["bell", "--a", "0.6", "--p", "0.7"],
+     ["region", "--a", "0.7", "--b", "0.8", "--n", "300"]],
+    ids=lambda argv: argv[0],
+)
+def test_failed_stdout_write_exits_2(capsys, monkeypatch, argv, exc):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(exc))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {exc}\n"

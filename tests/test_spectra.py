@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from entrecovery import (
     EmptyInputError,
+    InputDomainError,
     NegativeWeightError,
     NonFiniteWeightError,
     NotNormalizedError,
@@ -55,6 +57,15 @@ def test_make_spectrum_rejects_non_finite(bad):
     # NaN compares false against every bound, so it needs its own check
     with pytest.raises(NonFiniteWeightError):
         make_spectrum([bad, 0.3])
+
+
+@pytest.mark.parametrize(
+    "raw,shown", [(["x", 0.5], "'x'"), ([None, 1.0], "None"), ([1 + 0j], "(1+0j)")]
+)
+def test_make_spectrum_rejects_non_numeric(raw, shown):
+    with pytest.raises(InputDomainError, match=re.escape(shown)) as info:
+        make_spectrum(raw)
+    assert isinstance(info.value.__cause__, (TypeError, ValueError))
 
 
 def test_make_spectrum_clamps_tolerated_noise():
