@@ -335,6 +335,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if sys.stdout is None:  # started with fd 1 closed: the output would be lost
+            raise CliUsageError("stdout is closed")
         tol = Tolerance(args.eps)
         record, status = args.func(args, tol)
         stream = sys.stdout

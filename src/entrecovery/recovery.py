@@ -172,7 +172,6 @@ def classify_point(prob: RecoveryProblem, p: float, q: float) -> RegionClass:
     The closed form never enters; see is_feasible_closed_form.
     """
     t = prob.tol
-    _require_unit_range(t, p=p, q=q)
     x, y = product_spectra(prob, p, q)
     fwd = is_majorized_by(x, y, t)
     if t.close(p, prob.b) and t.close(q, prob.a) and fwd:
@@ -236,19 +235,22 @@ class RegionGrid:
 
     def counts(self) -> dict[RegionClass, int]:
         import numpy as np
-        bins = np.bincount(self.codes.ravel(), minlength=len(RegionClass))
-        return {cls: int(bins[i]) for i, cls in enumerate(RegionClass)}
+        return {cls: int(np.count_nonzero(self.codes == _CLASS_CODE[cls]))
+                for cls in RegionClass}
 
 
 def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     """Classify every point of the (n+1) x (n+1) grid over [1/2, 1]^2.
 
     Internally vectorized, but cell-for-cell identical to calling
-    classify_point on each (p_i, q_j): all per-axis quantities (sorted
-    product spectra, prefix sums, pair entropies) are computed by the same
-    scalar code, and the cross comparisons use the same IEEE operations.
-    Deterministic for fixed (a, b, n, eps).  Peak extra memory is O(chunk x m)
-    for m = n + 1: each cross comparison is a 2-D mask, no 4-wide float tensor.
+    classify_point on each (p_i, q_j): the axis values, sorted product
+    spectra and prefix sums are computed in numpy with the same IEEE
+    operations as the scalar code, the pair entropies by the scalar code
+    itself, and the cross comparisons use the same IEEE operations.  The
+    equal-spectra test runs only on each row's thin window of candidate
+    columns.  Deterministic for fixed (a, b, n, eps).  Peak extra memory is
+    a few (chunk x m) bool masks for m = n + 1, plus index arrays over those
+    windows; no float array per cell.
     """
     import numpy as np
     if n < 1:
@@ -257,17 +259,27 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
         raise ResolutionTooLargeError(f"grid resolution {n} exceeds {MAX_GRID_N}")
     eps = prob.tol.eps
     a, b = prob.a, prob.b
-    pts = [0.5 + i / (2 * n) for i in range(n + 1)]
-    m = len(pts)
+    m = n + 1
+    pv = 0.5 + np.arange(m) / (2 * n)  # i / (2n) is correctly rounded either way
+    qv = 1.0 - pv
 
-    x4 = np.array([_sorted_products(a, v) for v in pts])
-    y4 = np.array([_sorted_products(b, v) for v in pts])
+    def sorted_products(c):  # _sorted_products row by row, same IEEE operations
+        v = np.stack([c * pv, c * qv, (1.0 - c) * pv, (1.0 - c) * qv], axis=1)
+        return np.sort(v, axis=1)[:, ::-1]
+
+    x4, y4 = sorted_products(a), sorted_products(b)
     # sequential left-to-right sums, as in is_majorized_by
     sx = np.cumsum(x4[:, :3], axis=1)
     sy = np.cumsum(y4[:, :3], axis=1)
-    hv = np.array([_pair_entropy(v) for v in pts])
-    pv = np.array(pts)
+    hv = np.array([_pair_entropy(v) for v in pv.tolist()])
     sx_eps, sy_eps, hv_eps, pv_eps = sx + eps, sy + eps, hv - eps, pv - eps
+
+    # Equal spectra need |x_0 - y_0| <= eps, and y_0 = b*q_j is non-decreasing
+    # in j (b > 1/2, q >= 1/2), so each row's candidates form one column
+    # window.  |fl(x_0 - y_0)| <= eps implies |x_0 - y_0| < 2*eps, so by
+    # monotone rounding the 4*eps window keeps every such column.
+    jlo = np.searchsorted(y4[:, 0], x4[:, 0] - 4 * eps)
+    jhi = np.searchsorted(y4[:, 0], x4[:, 0] + 4 * eps, side="right")
 
     # per-axis scalar masks
     near_b = np.abs(pv - b) <= eps  # rows where p is the complete-recovery abscissa
@@ -279,25 +291,26 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
 
     codes = np.empty((m, m), dtype=np.uint8)
     chunk = max(1, min(m, 2_000_000 // m))
-    diff = np.empty((chunk, m))  # reused buffer for x_k - y_k
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        fwd = np.ones((hi - lo, m), dtype=bool)
-        rev = np.ones((hi - lo, m), dtype=bool)
-        equal = np.ones((hi - lo, m), dtype=bool)
-        for k in range(3):
+        fwd = sx[lo:hi, 0, None] <= sy_eps[:, 0]
+        rev = sy[:, 0] <= sx_eps[lo:hi, 0, None]
+        for k in (1, 2):
             fwd &= sx[lo:hi, k, None] <= sy_eps[:, k]
             rev &= sy[:, k] <= sx_eps[lo:hi, k, None]
-        for k in range(4):
-            d = np.subtract(x4[lo:hi, k, None], y4[:, k], out=diff[: hi - lo])
-            equal &= np.abs(d, out=d) <= eps
         gain = (pv < pv_eps[lo:hi, None]) & (hv[lo:hi, None] < hv_eps)
 
         # reverse precedence order: each later label overrides the earlier ones
         block = codes[lo:hi]
         block.fill(_CLASS_CODE[RegionClass.INFEASIBLE_OTHER])
-        block[~fwd & ~rev] = _CLASS_CODE[RegionClass.INCOMPARABLE]
-        block[rev & ~equal] = _CLASS_CODE[RegionClass.ENTANGLEMENT_INCREASING]
+        block[~(fwd | rev)] = _CLASS_CODE[RegionClass.INCOMPARABLE]
+        width = jhi[lo:hi] - jlo[lo:hi]
+        start = np.cumsum(width) - width  # where each row's candidates begin
+        ci = np.repeat(np.arange(hi - lo), width)  # candidate cells (ci, cj)
+        cj = jlo[lo:hi][ci] + np.arange(ci.size) - start[ci]
+        equal = (np.abs(x4[lo + ci] - y4[cj]) <= eps).all(axis=1)
+        rev[ci[equal], cj[equal]] = False  # equal spectra do not increase
+        block[rev] = _CLASS_CODE[RegionClass.ENTANGLEMENT_INCREASING]
         np.copyto(block, gain_code, where=fwd & gain)
         block[near_b[lo:hi, None] & near_a & fwd] = _CLASS_CODE[
             RegionClass.COMPLETE_RECOVERY

@@ -126,13 +126,18 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
 
     Raises
     ------
-    InputDomainError (a weight that is not a real number), EmptyInputError,
-    NonFiniteWeightError, NegativeWeightError, NotNormalizedError
+    InputDomainError (a weight that is not a real number, or is a bool, str,
+    bytes or bytearray), EmptyInputError, NonFiniteWeightError,
+    NegativeWeightError, NotNormalizedError
     """
     vals = []
     for w in raw:
         try:
             v = float(w)
+            # float() accepts these too; the exact-float test keeps the common
+            # case off the slower isinstance check
+            if type(w) is not float and isinstance(w, (bool, str, bytes, bytearray)):
+                raise TypeError(f"{type(w).__name__} is not a float")
         except (TypeError, ValueError) as exc:
             raise InputDomainError(f"weight {w!r} is not a real number") from exc
         if not math.isfinite(v):

@@ -369,3 +369,22 @@ def test_failed_stdout_write_exits_2(capsys, monkeypatch, argv, exc):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["transform", "--a", "0.7", "--b", "0.8"],
+     ["classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.55"],
+     ["bell", "--a", "0.6", "--p", "0.7"],
+     ["region", "--a", "0.7", "--b", "0.8", "--n", "3"],
+     ["region", "--a", "0.7", "--b", "0.8", "--n", "3", "--out", "grid.csv"]],
+    ids=" ".join,
+)
+def test_closed_stdout_exits_2(capsys, monkeypatch, tmp_path, argv):
+    # the interpreter sets sys.stdout to None when it starts with fd 1 closed
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == "error: stdout is closed\n"
+    assert not (tmp_path / "grid.csv").exists()

@@ -142,3 +142,12 @@ def test_closed_pipe_exits_2(tmp_path):
         proc.stdout.close()  # the reader goes away, as with `| head -1`
         assert proc.wait(timeout=TIMEOUT_S) == 2
     assert err_path.read_text() == "error: [Errno 32] Broken pipe\n"
+
+
+def test_closed_stdout_fd_exits_2():
+    # `>&-` starts the child with fd 1 closed, as in a shell
+    proc = _run(["-c", 'import os, sys; os.close(1); os.execv(sys.executable, '
+                 '[sys.executable, "-m", "entrecovery.cli", "region", '
+                 '"--a", "0.7", "--b", "0.8", "--n", "3"])'])
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: stdout is closed\n"

@@ -245,19 +245,58 @@ def test_region_grid_resolution_limits():
         region_grid(prob, 10_001)
 
 
+def _assert_grid_matches_scalar_classifier(prob, n):
+    g = region_grid(prob, n)
+    for i in range(n + 1):
+        p = 0.5 + i / (2 * n)
+        for j in range(n + 1):
+            q = 0.5 + j / (2 * n)
+            assert g.class_at(i, j) is classify_point(prob, p, q), (prob, n, i, j)
+    return g
+
+
 def test_region_grid_matches_scalar_classifier():
     rng = random.Random(11)
     for _ in range(4):
         a = rng.uniform(0.5, 0.97)
         b = rng.uniform(a + 0.002, 1.0)
-        prob = RecoveryProblem(a, b)
-        n = rng.choice([3, 8, 17])
-        g = region_grid(prob, n)
-        for i in range(n + 1):
-            p = 0.5 + i / (2 * n)
-            for j in range(n + 1):
-                q = 0.5 + j / (2 * n)
-                assert g.class_at(i, j) is classify_point(prob, p, q), (a, b, n, i, j)
+        _assert_grid_matches_scalar_classifier(
+            RecoveryProblem(a, b), rng.choice([3, 8, 17])
+        )
+
+
+@pytest.mark.parametrize(
+    "a,b,eps,n,cells",
+    [
+        # (p, q) = (73/128, 70/128) is within the eps-neighbourhood of the
+        # swap point (b, a), which grows like eps / (b - a), but p is more
+        # than eps from b, so the cell is not complete
+        (0.5468070833253649, 0.5702095532424909, 1e-4, 64, [(9, 6)]),
+        # b - a < 2 eps: the diagonal cells q = p with p * (b - a) <= eps
+        (0.5001900054601631, 0.5004599173882922, 2e-4, 8, [(1, 1), (2, 2)]),
+    ],
+    ids=["near-swap-point", "diagonal"],
+)
+def test_region_grid_equal_spectra_are_not_increasing(a, b, eps, n, cells):
+    # reverse majorization holds in these cells, but the spectra are equal
+    # within eps, so only the equal-spectra test keeps them out of
+    # `increasing`
+    g = _assert_grid_matches_scalar_classifier(RecoveryProblem(a, b, Tolerance(eps)), n)
+    for i, j in cells:
+        assert g.class_at(i, j) is RegionClass.INFEASIBLE_OTHER, (i, j)
+
+
+def test_region_grid_matches_scalar_classifier_at_wide_eps():
+    # b - a of a few eps with a near 1/2 puts equal spectra on grid cells
+    # near the diagonal, where the kernel's column window decides them
+    rng = random.Random(23)
+    for _ in range(16):
+        eps = rng.uniform(1e-4, 9.99e-4)
+        a = rng.uniform(0.5 - eps / 2, 0.52)
+        b = a + rng.uniform(1.5, 5.0) * eps
+        _assert_grid_matches_scalar_classifier(
+            RecoveryProblem(a, b, Tolerance(eps)), rng.randint(1, 64)
+        )
 
 
 def test_region_class_order_is_code_order():

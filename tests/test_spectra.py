@@ -60,7 +60,11 @@ def test_make_spectrum_rejects_non_finite(bad):
 
 
 @pytest.mark.parametrize(
-    "raw,shown", [(["x", 0.5], "'x'"), ([None, 1.0], "None"), ([1 + 0j], "(1+0j)")]
+    "raw,shown",
+    [(["x", 0.5], "'x'"), ([None, 1.0], "None"), ([1 + 0j], "(1+0j)"),
+     # float() would accept these, but they are not float weights
+     ([True], "True"), (["0.5", 0.5], "'0.5'"), ([b"0.5", 0.5], "b'0.5'"),
+     ([bytearray(b"0.5"), 0.5], "bytearray(b'0.5')")],
 )
 def test_make_spectrum_rejects_non_numeric(raw, shown):
     with pytest.raises(InputDomainError, match=re.escape(shown)) as info:
