@@ -9,6 +9,7 @@ oracle.
 from .errors import (
     EmptyInputError,
     InputDomainError,
+    InvalidTypeError,
     NegativeWeightError,
     NonFiniteWeightError,
     NotNormalizedError,
@@ -46,6 +47,7 @@ __all__ = [
     "DEFAULT_TOL",
     "EmptyInputError",
     "InputDomainError",
+    "InvalidTypeError",
     "NegativeWeightError",
     "NonFiniteWeightError",
     "NotNormalizedError",

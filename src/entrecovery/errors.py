@@ -25,6 +25,11 @@ class NotNormalizedError(InputDomainError):
     """Spectrum weights do not sum to 1 within tolerance."""
 
 
+class InvalidTypeError(InputDomainError):
+    """A value is not of the kind a parameter takes, such as a bool or str
+    where a real number is needed, or a non-integer grid resolution."""
+
+
 class OutOfRangeError(InputDomainError):
     """A scalar parameter lies outside its admissible interval."""
 

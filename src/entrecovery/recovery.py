@@ -22,10 +22,12 @@ point (p, q) = (b, a) swaps the roles of the two pairs completely.
 from __future__ import annotations
 
 import enum
+import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import OutOfRangeError, ResolutionTooLargeError
+from .errors import InvalidTypeError, OutOfRangeError, ResolutionTooLargeError
 from .majorization import is_majorized_by
 from .spectra import DEFAULT_TOL, SchmidtSpectrum, Tolerance, entropy
 
@@ -61,6 +63,8 @@ class RecoveryProblem:
     tol: Tolerance = field(default=DEFAULT_TOL)
 
     def __post_init__(self):
+        if not (type(self.a) is float and type(self.b) is float):
+            _require_real(a=self.a, b=self.b)
         t = self.tol
         if not (t.geq(self.a, 0.5) and t.leq(self.b, 1.0)):
             raise OutOfRangeError(
@@ -86,7 +90,53 @@ class RegionClass(enum.Enum):
     INFEASIBLE_OTHER = "infeasible"
 
 
-_CLASS_CODE = {cls: i for i, cls in enumerate(RegionClass)}
+_CLASSES = tuple(RegionClass)
+_CLASS_CODE = {cls: i for i, cls in enumerate(_CLASSES)}
+
+
+def _ladder(
+    swap: bool, gain: bool, below_a: bool, equal: bool, rev: bool, fwd: bool
+) -> RegionClass:
+    """The class of a point from its six predicates, in order of precedence.
+
+    The predicates: swap, (p, q) = (b, a) within eps; gain, q < p and a
+    strict entropy gain in the auxiliary; below_a, q < a; equal, the joint
+    spectra agree within eps; fwd and rev, forward and reverse majorization.
+
+    1. Forward majorization at the swap point: complete recovery (the two
+       pairs simply swap roles).
+    2. Forward majorization with a gain: true recovery when q < a, trivial
+       recovery when q >= a.
+    3. Reverse majorization with unequal spectra: the conversion would
+       increase total entanglement, so it is excluded.
+    4. Neither direction: incomparable.
+    5. Everything else (q >= p, equal spectra, no strict gain): infeasible.
+    """
+    if fwd and swap:
+        return RegionClass.COMPLETE_RECOVERY
+    if fwd and gain:
+        return RegionClass.TRUE_RECOVERY if below_a else RegionClass.TRIVIAL_RECOVERY
+    if rev and not equal:
+        return RegionClass.ENTANGLEMENT_INCREASING
+    if not (fwd or rev):
+        return RegionClass.INCOMPARABLE
+    return RegionClass.INFEASIBLE_OTHER
+
+
+# region_grid packs _ladder's arguments into one key per cell, the first
+# argument in the highest bit, which is the order itertools.product counts in;
+# bytes.translate wants 256 entries, of which the keys use the first 64
+_SWAP, _GAIN, _BELOW_A, _EQUAL, _REV, _FWD = (1 << k for k in range(5, -1, -1))
+_LADDER_TABLE = bytes(
+    _CLASS_CODE[_ladder(*bits)] for bits in itertools.product((False, True), repeat=6)
+).ljust(256, b"\xff")
+
+
+def _require_real(**params: float) -> None:
+    import numbers  # only values other than a plain float get here
+    for name, v in params.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise InvalidTypeError(f"{name} must be a real number, got {v!r}")
 
 
 def _require_unit_range(tol: Tolerance, **params: float) -> None:
@@ -104,7 +154,7 @@ def _sorted_products(c: float, v: float) -> list[float]:
 
 
 def _pair_entropy(v: float) -> float:
-    return entropy(SchmidtSpectrum((v, 1.0 - v)))
+    return entropy((v, 1.0 - v))
 
 
 def product_spectra(
@@ -158,37 +208,20 @@ def is_feasible_closed_form(prob: RecoveryProblem, p: float, q: float) -> bool:
 def classify_point(prob: RecoveryProblem, p: float, q: float) -> RegionClass:
     """Classify a point of the (p, q) plane using the majorization oracle.
 
-    Precedence:
-
-    1. (p, q) = (b, a) within eps with forward majorization: complete
-       recovery (the two pairs simply swap roles).
-    2. Forward majorization with q < p and a strict entropy gain in the
-       auxiliary: true recovery when q < a, trivial recovery when q >= a.
-    3. Reverse majorization with unequal spectra: the conversion would
-       increase total entanglement, so it is excluded.
-    4. Neither direction: incomparable.
-    5. Everything else (q >= p, equal spectra, no strict gain): infeasible.
-
-    The closed form never enters; see is_feasible_closed_form.
+    Evaluates the six predicates of _ladder, whose docstring gives the
+    precedence among the classes, with scalar arithmetic.  The closed form
+    never enters; see is_feasible_closed_form.
     """
     t = prob.tol
     x, y = product_spectra(prob, p, q)
-    fwd = is_majorized_by(x, y, t)
-    if t.close(p, prob.b) and t.close(q, prob.a) and fwd:
-        return RegionClass.COMPLETE_RECOVERY
-    e_before = _pair_entropy(p)
-    e_after = _pair_entropy(q)
-    if fwd and t.lt(q, p) and t.lt(e_before, e_after):
-        if t.lt(q, prob.a):
-            return RegionClass.TRUE_RECOVERY
-        return RegionClass.TRIVIAL_RECOVERY
-    rev = is_majorized_by(y, x, t)
-    equal = all(t.close(u, v) for u, v in zip(x.values, y.values))
-    if rev and not equal:
-        return RegionClass.ENTANGLEMENT_INCREASING
-    if not fwd and not rev:
-        return RegionClass.INCOMPARABLE
-    return RegionClass.INFEASIBLE_OTHER
+    return _ladder(
+        swap=t.close(p, prob.b) and t.close(q, prob.a),
+        gain=t.lt(q, p) and t.lt(_pair_entropy(p), _pair_entropy(q)),
+        below_a=t.lt(q, prob.a),
+        equal=all(t.close(u, v) for u, v in zip(x.values, y.values)),
+        rev=is_majorized_by(y, x, t),
+        fwd=is_majorized_by(x, y, t),
+    )
 
 
 def bell_bound(prob: RecoveryProblem) -> float:
@@ -224,14 +257,22 @@ class RegionGrid:
     n: int
     codes: np.ndarray
 
+    def _check_index(self, *indices: int) -> None:
+        for k in indices:
+            if not 0 <= k <= self.n:
+                raise IndexError(f"grid index {k} outside 0..{self.n}")
+
     def p_value(self, i: int) -> float:
+        self._check_index(i)
         return 0.5 + i / (2 * self.n)
 
     def q_value(self, j: int) -> float:
+        self._check_index(j)
         return 0.5 + j / (2 * self.n)
 
     def class_at(self, i: int, j: int) -> RegionClass:
-        return tuple(RegionClass)[self.codes[i, j]]
+        self._check_index(i, j)
+        return _CLASSES[self.codes[i, j]]
 
     def counts(self) -> dict[RegionClass, int]:
         import numpy as np
@@ -248,11 +289,16 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     operations as the scalar code, the pair entropies by the scalar code
     itself, and the cross comparisons use the same IEEE operations.  The
     equal-spectra test runs only on each row's thin window of candidate
-    columns.  Deterministic for fixed (a, b, n, eps).  Peak extra memory is
-    a few (chunk x m) bool masks for m = n + 1, plus index arrays over those
-    windows; no float array per cell.
+    columns.  The predicates of each cell are packed into one byte, which a
+    table built from _ladder maps to its class.  Deterministic for fixed
+    (a, b, n, eps).  Peak extra memory is a few (chunk x m) bool masks for
+    m = n + 1, index arrays over those windows and the (m x m) keys;
+    no float array per cell.
     """
     import numpy as np
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise InvalidTypeError(f"grid resolution must be an integer, got {n!r}")
+    n = operator.index(n)  # a plain int, so p_value gives plain floats
     if n < 1:
         raise OutOfRangeError(f"grid resolution must be >= 1, got {n}")
     if n > MAX_GRID_N:
@@ -281,15 +327,14 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     jlo = np.searchsorted(y4[:, 0], x4[:, 0] - 4 * eps)
     jhi = np.searchsorted(y4[:, 0], x4[:, 0] + 4 * eps, side="right")
 
-    # per-axis scalar masks
-    near_b = np.abs(pv - b) <= eps  # rows where p is the complete-recovery abscissa
-    near_a = np.abs(pv - a) <= eps  # columns where q matches the source parameter
-    gain_code = np.where(
-        pv < a - eps, _CLASS_CODE[RegionClass.TRUE_RECOVERY],
-        _CLASS_CODE[RegionClass.TRIVIAL_RECOVERY],
-    ).astype(np.uint8)
+    # the key bits that depend on one axis: below_a on the column, and swap
+    # on the columns of the rows where p is within eps of b
+    col_key = (pv < a - eps).view(np.uint8) * _BELOW_A
+    swap_key = col_key | (np.abs(pv - a) <= eps).view(np.uint8) * _SWAP
+    near_b = np.abs(pv - b) <= eps
 
-    codes = np.empty((m, m), dtype=np.uint8)
+    keys = bytearray(m * m)
+    key_rows = np.frombuffer(keys, dtype=np.uint8).reshape(m, m)
     chunk = max(1, min(m, 2_000_000 // m))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
@@ -300,19 +345,16 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
             rev &= sy[:, k] <= sx_eps[lo:hi, k, None]
         gain = (pv < pv_eps[lo:hi, None]) & (hv[lo:hi, None] < hv_eps)
 
-        # reverse precedence order: each later label overrides the earlier ones
-        block = codes[lo:hi]
-        block.fill(_CLASS_CODE[RegionClass.INFEASIBLE_OTHER])
-        block[~(fwd | rev)] = _CLASS_CODE[RegionClass.INCOMPARABLE]
+        key = key_rows[lo:hi]
+        key[:] = col_key
+        key[near_b[lo:hi]] = swap_key
+        for bit, mask in ((_FWD, fwd), (_REV, rev), (_GAIN, gain)):
+            key |= mask.view(np.uint8) * bit
         width = jhi[lo:hi] - jlo[lo:hi]
         start = np.cumsum(width) - width  # where each row's candidates begin
         ci = np.repeat(np.arange(hi - lo), width)  # candidate cells (ci, cj)
         cj = jlo[lo:hi][ci] + np.arange(ci.size) - start[ci]
         equal = (np.abs(x4[lo + ci] - y4[cj]) <= eps).all(axis=1)
-        rev[ci[equal], cj[equal]] = False  # equal spectra do not increase
-        block[rev] = _CLASS_CODE[RegionClass.ENTANGLEMENT_INCREASING]
-        np.copyto(block, gain_code, where=fwd & gain)
-        block[near_b[lo:hi, None] & near_a & fwd] = _CLASS_CODE[
-            RegionClass.COMPLETE_RECOVERY
-        ]
+        key[ci[equal], cj[equal]] |= _EQUAL
+    codes = np.frombuffer(keys.translate(_LADDER_TABLE), dtype=np.uint8).reshape(m, m)
     return RegionGrid(a=a, b=b, n=n, codes=codes)

@@ -9,11 +9,12 @@ these probability vectors only, so this module is the whole state model.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (
     EmptyInputError,
-    InputDomainError,
+    InvalidTypeError,
     NegativeWeightError,
     NonFiniteWeightError,
     NotNormalizedError,
@@ -126,7 +127,7 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
 
     Raises
     ------
-    InputDomainError (a weight that is not a real number, or is a bool, str,
+    InvalidTypeError (a weight that is not a real number, or is a bool, str,
     bytes or bytearray), EmptyInputError, NonFiniteWeightError,
     NegativeWeightError, NotNormalizedError
     """
@@ -139,7 +140,7 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
             if type(w) is not float and isinstance(w, (bool, str, bytes, bytearray)):
                 raise TypeError(f"{type(w).__name__} is not a float")
         except (TypeError, ValueError) as exc:
-            raise InputDomainError(f"weight {w!r} is not a real number") from exc
+            raise InvalidTypeError(f"weight {w!r} is not a real number") from exc
         if not math.isfinite(v):
             raise NonFiniteWeightError(f"non-finite weight {v}")
         if v < -tol.eps:
@@ -174,10 +175,13 @@ def tensor(s: SchmidtSpectrum, t: SchmidtSpectrum) -> SchmidtSpectrum:
     return SchmidtSpectrum(tuple(prods))
 
 
-def entropy(s: SchmidtSpectrum) -> float:
-    """Entanglement entropy -sum(v * log2(v)) in ebits, with 0*log(0) = 0."""
+def entropy(s: SchmidtSpectrum | Iterable[float]) -> float:
+    """Entanglement entropy -sum(v * log2(v)) in ebits, with 0*log(0) = 0.
+
+    s is a SchmidtSpectrum or any iterable of its weights, such as a tuple.
+    """
     h = 0.0
-    for v in s.values:
+    for v in s:
         if v > 0.0:
             h -= v * math.log2(v)
     return h

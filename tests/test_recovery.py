@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from entrecovery import (
     Comparability,
+    InvalidTypeError,
     OutOfRangeError,
     RecoveryProblem,
     RegionClass,
@@ -53,6 +56,20 @@ def test_problem_validation():
         RecoveryProblem(0.4, 0.7)
     with pytest.raises(OutOfRangeError):
         RecoveryProblem(0.7, 1.1)
+
+
+@pytest.mark.parametrize("bad", ["0.7", b"0.7", True, None, 1 + 0j])
+def test_problem_rejects_non_real_parameters(bad):
+    shown = re.escape(repr(bad))
+    with pytest.raises(InvalidTypeError, match=f"a must be a real number, got {shown}"):
+        RecoveryProblem(bad, 0.8)
+    with pytest.raises(InvalidTypeError, match=f"b must be a real number, got {shown}"):
+        RecoveryProblem(0.7, bad)
+
+
+def test_problem_accepts_other_reals():
+    assert RecoveryProblem(0.5, 1).b == 1
+    assert RecoveryProblem(Fraction(7, 10), 0.8).a == Fraction(7, 10)
 
 
 def test_problem_tolerance_governs_strictness():
@@ -245,6 +262,29 @@ def test_region_grid_resolution_limits():
         region_grid(prob, 10_001)
 
 
+@pytest.mark.parametrize("bad", [2.5, 1.0, "3", True, None])
+def test_region_grid_rejects_non_integer_resolution(bad):
+    with pytest.raises(InvalidTypeError, match=f"got {re.escape(repr(bad))}$"):
+        region_grid(RecoveryProblem(0.7, 0.8), bad)
+
+
+def test_region_grid_indices_are_checked():
+    g = region_grid(RecoveryProblem(0.7, 0.8), 4)
+    assert g.p_value(0) == 0.5 and g.q_value(4) == 1.0
+    assert g.class_at(4, 4) is RegionClass.INFEASIBLE_OTHER
+    for k in (-1, 5):
+        with pytest.raises(IndexError):
+            g.p_value(k)
+        with pytest.raises(IndexError):
+            g.q_value(k)
+        with pytest.raises(IndexError):
+            g.class_at(k, k)
+        with pytest.raises(IndexError):
+            g.class_at(0, k)
+        with pytest.raises(IndexError):
+            g.class_at(k, 0)
+
+
 def _assert_grid_matches_scalar_classifier(prob, n):
     g = region_grid(prob, n)
     for i in range(n + 1):
@@ -318,6 +358,22 @@ def test_region_grid_chunk_seam_matches_scalar_classifier():
     for i in (1331, 1332, 1333):
         p = g.p_value(i)
         for j in range(n + 1):
+            assert g.class_at(i, j) is classify_point(prob, p, g.q_value(j)), (i, j)
+
+
+def test_region_grid_several_complete_cells():
+    # at eps = 9e-4 the swap point (p, q) = (b, a) = (p_360, q_240) has an
+    # eps-neighbourhood of 3 x 3 cells; (p_361, q_239) fails forward
+    # majorization, so 8 of them are complete
+    prob = RecoveryProblem(0.7, 0.8, Tolerance(9e-4))
+    g = region_grid(prob, 600)
+    assert g.counts()[RegionClass.COMPLETE_RECOVERY] == 8
+    for i in (359, 360, 361):
+        for j in (239, 240, 241):
+            want = (i, j) != (361, 239)
+            assert (g.class_at(i, j) is RegionClass.COMPLETE_RECOVERY) == want, (i, j)
+        p = g.p_value(i)
+        for j in range(601):
             assert g.class_at(i, j) is classify_point(prob, p, g.q_value(j)), (i, j)
 
 

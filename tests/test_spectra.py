@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from entrecovery import (
     EmptyInputError,
     InputDomainError,
+    InvalidTypeError,
     NegativeWeightError,
     NonFiniteWeightError,
     NotNormalizedError,
@@ -70,6 +71,11 @@ def test_make_spectrum_rejects_non_numeric(raw, shown):
     with pytest.raises(InputDomainError, match=re.escape(shown)) as info:
         make_spectrum(raw)
     assert isinstance(info.value.__cause__, (TypeError, ValueError))
+
+
+def test_make_spectrum_type_error_is_invalid_type():
+    with pytest.raises(InvalidTypeError, match="True"):
+        make_spectrum([True])
 
 
 def test_make_spectrum_clamps_tolerated_noise():
@@ -135,6 +141,16 @@ def test_entropy_bell_is_one_ebit():
 
 def test_entropy_product_state_is_zero():
     assert entropy(make_spectrum([1.0, 0.0])) == 0.0
+
+
+def test_entropy_of_plain_weights_matches_spectrum():
+    # the recovery code passes the pair weights as a tuple; the value must be
+    # the same float as for the SchmidtSpectrum
+    rng = random.Random(5)
+    for _ in range(200):
+        v = rng.uniform(0.5, 1.0)
+        assert entropy((v, 1.0 - v)) == entropy(SchmidtSpectrum((v, 1.0 - v)))
+    assert entropy([0.5, 0.5, 0.0]) == 1.0
 
 
 def test_entropy_frozen_value():
