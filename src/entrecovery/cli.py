@@ -8,10 +8,12 @@ bell (Bell-pair concentration queries).  Every command takes --eps and
 Exit codes: 0 affirmative verdict / success, 1 negative verdict, 2 usage,
 domain, or I/O error.
 
-Output records serialize with a stable key order (command, inputs, results,
-status); numeric fields are printed with 12 significant digits.  Region CSV
-files use the schema `p,q,class` with floats as shortest round-trip decimals
-and LF line endings, one row per grid cell in row-major order (p outer).
+Each command returns one plain record, a dict with the keys command,
+inputs, results and status in that stable order, which _render prints as
+text or JSON; numeric fields are printed with 12 significant digits.
+Region CSV files use the schema `p,q,class` with floats as shortest
+round-trip decimals and LF line endings, one row per grid cell in row-major
+order (p outer).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .errors import InputDomainError
 from .majorization import Comparability
@@ -45,7 +46,7 @@ from .spectra import (
     two_qubit,
 )
 
-__all__ = ["OutputRecord", "main", "entry", "write_region_csv", "parse_spectrum"]
+__all__ = ["main", "entry", "write_region_csv", "parse_spectrum"]
 
 _VERDICT_LABEL = {
     Comparability.LEFT_MAJORIZED: "forward",
@@ -63,36 +64,29 @@ _REGION_LABEL = {
     RegionClass.INFEASIBLE_OTHER: "infeasible",
 }
 
+# the classes for which classify exits 0
+_RECOVERY_CLASSES = (
+    RegionClass.COMPLETE_RECOVERY,
+    RegionClass.TRUE_RECOVERY,
+    RegionClass.TRIVIAL_RECOVERY,
+)
+
 
 class CliUsageError(Exception):
     pass
 
 
-@dataclass
-class OutputRecord:
-    """One command's result: echoed inputs, verdicts, and the exit status."""
-
-    command: str
-    inputs: dict
-    results: dict
-    status: int
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": _round12(self.inputs),
-            "results": _round12(self.results),
-            "status": self.status,
-        }
-        return json.dumps(payload)
-
-    def to_text(self) -> str:
-        lines = [f"command: {self.command}"]
-        for section in (self.inputs, self.results):
-            for key, val in section.items():
-                lines.append(f"{key}: {_text_value(val)}")
-        lines.append(f"status: {self.status}")
-        return "\n".join(lines)
+def _render(record: dict, as_json: bool) -> str:
+    """The record as one JSON object, or as one `key: value` line per item."""
+    if as_json:
+        return json.dumps(_round12(record))
+    items = [
+        ("command", record["command"]),
+        *record["inputs"].items(),
+        *record["results"].items(),
+        ("status", record["status"]),
+    ]
+    return "\n".join(f"{key}: {_text_value(val)}" for key, val in items)
 
 
 def _round12(val):
@@ -146,83 +140,64 @@ def write_region_csv(grid: RegionGrid, fh) -> None:
         fh.write(prefix + prefix.join(table[row, cols].tolist()))
 
 
-def _cmd_transform(args, tol: Tolerance):
+def _spectrum_arg(text: str | None, coeff: float | None, tol: Tolerance):
+    # weights or a two-qubit coefficient; the caller checks that one is given
+    if text is not None:
+        return parse_spectrum(text, tol)
+    return two_qubit(coeff, tol).spectrum
+
+
+def _cmd_transform(args, tol: Tolerance) -> dict:
     if (args.source is None) == (args.a is None):
         raise CliUsageError("give exactly one of --source or --a")
     if (args.target is None) == (args.b is None):
         raise CliUsageError("give exactly one of --target or --b")
-    source = (
-        parse_spectrum(args.source, tol)
-        if args.source is not None
-        else two_qubit(args.a, tol).spectrum
-    )
-    target = (
-        parse_spectrum(args.target, tol)
-        if args.target is not None
-        else two_qubit(args.b, tol).spectrum
-    )
+    source = _spectrum_arg(args.source, args.a, tol)
+    target = _spectrum_arg(args.target, args.b, tol)
     verdict = transform_verdict(source, target, tol)
-    status = 0 if verdict.forward else 1
-    record = OutputRecord(
-        command="transform",
-        inputs={
-            "source": list(source.values),
-            "target": list(target.values),
-            "eps": tol.eps,
-        },
-        results={
+    return {
+        "command": "transform",
+        "inputs": {"source": source.values, "target": target.values, "eps": tol.eps},
+        "results": {
             "verdict": _VERDICT_LABEL[verdict.comparability],
             "forward": verdict.forward,
             "backward": verdict.backward,
             "entropy_source": verdict.entropy_source,
             "entropy_target": verdict.entropy_target,
         },
-        status=status,
-    )
-    return record, status
+        "status": 0 if verdict.forward else 1,
+    }
 
 
-def _cmd_classify(args, tol: Tolerance):
+def _cmd_classify(args, tol: Tolerance) -> dict:
     prob = RecoveryProblem(args.a, args.b, tol)
     if not tol.lt(args.b, 1.0):
         raise CliUsageError("classify requires b < 1; use `bell` for b = 1")
     cls = classify_point(prob, args.p, args.q)
     x, y = product_spectra(prob, args.p, args.q)
-    e_source = entropy(two_qubit(args.a, tol).spectrum)
-    e_target = entropy(two_qubit(args.b, tol).spectrum)
-    e_aux_before = entropy(two_qubit(args.p, tol).spectrum)
-    e_aux_after = entropy(two_qubit(args.q, tol).spectrum)
-    recovery_classes = (
-        RegionClass.COMPLETE_RECOVERY,
-        RegionClass.TRUE_RECOVERY,
-        RegionClass.TRIVIAL_RECOVERY,
-    )
-    status = 0 if cls in recovery_classes else 1
-    record = OutputRecord(
-        command="classify",
-        inputs={
-            "a": args.a,
-            "b": args.b,
-            "p": args.p,
-            "q": args.q,
-            "eps": tol.eps,
-        },
-        results={
+
+    def pair_entropy(v: float) -> float:
+        return entropy(two_qubit(v, tol).spectrum)
+
+    e_aux_before, e_aux_after = pair_entropy(args.p), pair_entropy(args.q)
+    return {
+        "command": "classify",
+        "inputs": {"a": args.a, "b": args.b, "p": args.p, "q": args.q, "eps": tol.eps},
+        "results": {
             "class": _REGION_LABEL[cls],
-            "joint_before": list(x.values),
-            "joint_after": list(y.values),
-            "entropy_source": e_source,
-            "entropy_target": e_target,
+            "joint_before": x.values,
+            "joint_after": y.values,
+            "entropy_source": pair_entropy(args.a),
+            "entropy_target": pair_entropy(args.b),
             "entropy_aux_before": e_aux_before,
             "entropy_aux_after": e_aux_after,
             "recovered": e_aux_after - e_aux_before,
         },
-        status=status,
-    )
-    return record, status
+        "status": 0 if cls in _RECOVERY_CLASSES else 1,
+    }
 
 
-def _cmd_region(args, tol: Tolerance):
+def _cmd_region(args, tol: Tolerance) -> dict:
     prob = RecoveryProblem(args.a, args.b, tol)
     grid = region_grid(prob, args.n)
     if args.out is not None:
@@ -234,47 +209,35 @@ def _cmd_region(args, tol: Tolerance):
     else:
         write_region_csv(grid, sys.stdout)
         sys.stdout.flush()
-    counts = grid.counts()
-    record = OutputRecord(
-        command="region",
-        inputs={
-            "a": args.a,
-            "b": args.b,
-            "n": args.n,
-            "eps": tol.eps,
-            "out": args.out if args.out is not None else "-",
-        },
-        results={
+    return {
+        "command": "region",
+        "inputs": {"a": args.a, "b": args.b, "n": args.n, "eps": tol.eps,
+                   "out": args.out if args.out is not None else "-"},
+        "results": {
             "cells": (args.n + 1) * (args.n + 1),
-            "counts": {cls.value: counts[cls] for cls in RegionClass},
+            "counts": {cls.value: count for cls, count in grid.counts().items()},
         },
-        status=0,
-    )
-    return record, 0
+        "status": 0,
+    }
 
 
-def _cmd_bell(args, tol: Tolerance):
-    inputs = {"a": args.a, "p": args.p, "eps": tol.eps}
+def _cmd_bell(args, tol: Tolerance) -> dict:
+    inputs = {"a": args.a, "p": args.p, "b": args.b, "eps": tol.eps}
     if args.b is None:
+        del inputs["b"]
         ok = can_concentrate_bell(args.a, args.p, tol)
         results = {"concentratable": ok, "ap": args.a * args.p}
-        status = 0 if ok else 1
     else:
-        inputs = {"a": args.a, "p": args.p, "b": args.b, "eps": tol.eps}
         prob = RecoveryProblem(args.a, args.b, tol)
-        bound = bell_bound(prob)
         if tol.lt(args.b, 1.0):
-            feasible = is_feasible_closed_form(prob, args.p, 0.5)
+            ok = is_feasible_closed_form(prob, args.p, 0.5)
         else:
             # product-state target: the closed form degenerates, use the
             # concentration predicate directly
-            feasible = can_concentrate_bell(args.a, args.p, tol)
-        results = {"bound": bound, "feasible_with_residual": feasible}
-        status = 0 if feasible else 1
-    record = OutputRecord(
-        command="bell", inputs=inputs, results=results, status=status
-    )
-    return record, status
+            ok = can_concentrate_bell(args.a, args.p, tol)
+        results = {"bound": bell_bound(prob), "feasible_with_residual": ok}
+    return {"command": "bell", "inputs": inputs, "results": results,
+            "status": 0 if ok else 1}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,12 +301,11 @@ def main(argv=None) -> int:
         if sys.stdout is None:  # started with fd 1 closed: the output would be lost
             raise CliUsageError("stdout is closed")
         tol = Tolerance(args.eps)
-        record, status = args.func(args, tol)
+        record = args.func(args, tol)
         stream = sys.stdout
         if args.cmd == "region" and args.out is None:
             stream = sys.stderr  # CSV already occupies stdout
-        print(record.to_json() if args.json else record.to_text(), file=stream,
-              flush=True)
+        print(_render(record, args.json), file=stream, flush=True)
     except (InputDomainError, CliUsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, OSError) and sys.stdout is sys.__stdout__:
@@ -351,7 +313,7 @@ def main(argv=None) -> int:
             # buffered would fail again, so it goes to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    return status
+    return record["status"]
 
 
 def entry() -> None:

@@ -1,4 +1,5 @@
-"""Exception types for domain violations.
+"""Exception types for domain violations, and the real-number check that
+the scalar parameters of the package share.
 
 Everything derives from ValueError so callers that don't care about the
 fine-grained reason can catch a single class.
@@ -27,7 +28,8 @@ class NotNormalizedError(InputDomainError):
 
 class InvalidTypeError(InputDomainError):
     """A value is not of the kind a parameter takes, such as a bool or str
-    where a real number is needed, or a non-integer grid resolution."""
+    where a real number is needed, a float where a Tolerance is needed, or a
+    non-integer grid resolution."""
 
 
 class OutOfRangeError(InputDomainError):
@@ -36,3 +38,14 @@ class OutOfRangeError(InputDomainError):
 
 class ResolutionTooLargeError(InputDomainError):
     """Requested grid resolution exceeds the supported maximum."""
+
+
+def require_real(name: str, v) -> None:
+    """Raise InvalidTypeError unless v is a real number other than a bool.
+
+    Callers test `type(v) is float` first and call this only for other types,
+    which keeps the abstract-base-class check off the common path.
+    """
+    import numbers  # only values other than a plain float get here
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise InvalidTypeError(f"{name} must be a real number, got {v!r}")

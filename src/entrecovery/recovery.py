@@ -27,7 +27,12 @@ import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import InvalidTypeError, OutOfRangeError, ResolutionTooLargeError
+from .errors import (
+    InvalidTypeError,
+    OutOfRangeError,
+    ResolutionTooLargeError,
+    require_real,
+)
 from .majorization import is_majorized_by
 from .spectra import DEFAULT_TOL, SchmidtSpectrum, Tolerance, entropy
 
@@ -64,7 +69,10 @@ class RecoveryProblem:
 
     def __post_init__(self):
         if not (type(self.a) is float and type(self.b) is float):
-            _require_real(a=self.a, b=self.b)
+            require_real("a", self.a)
+            require_real("b", self.b)
+        if not isinstance(self.tol, Tolerance):
+            raise InvalidTypeError(f"tol must be a Tolerance, got {self.tol!r}")
         t = self.tol
         if not (t.geq(self.a, 0.5) and t.leq(self.b, 1.0)):
             raise OutOfRangeError(
@@ -132,15 +140,11 @@ _LADDER_TABLE = bytes(
 ).ljust(256, b"\xff")
 
 
-def _require_real(**params: float) -> None:
-    import numbers  # only values other than a plain float get here
-    for name, v in params.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise InvalidTypeError(f"{name} must be a real number, got {v!r}")
-
-
 def _require_unit_range(tol: Tolerance, **params: float) -> None:
+    # the one gate of every scalar p, q (and a for can_concentrate_bell)
     for name, v in params.items():
+        if type(v) is not float:
+            require_real(name, v)
         if not (tol.geq(v, 0.5) and tol.leq(v, 1.0)):
             raise OutOfRangeError(f"{name} must lie in [1/2, 1], got {v}")
 

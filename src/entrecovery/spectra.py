@@ -19,6 +19,7 @@ from .errors import (
     NonFiniteWeightError,
     NotNormalizedError,
     OutOfRangeError,
+    require_real,
 )
 
 __all__ = [
@@ -162,6 +163,8 @@ def two_qubit(a_raw: float, tol: Tolerance = DEFAULT_TOL) -> TwoQubitPair:
     Accepts any value in [0, 1] (within eps) and canonicalizes to
     a = max(a_raw, 1 - a_raw), so the stored parameter lies in [1/2, 1].
     """
+    if type(a_raw) is not float:
+        require_real("coefficient", a_raw)
     if not (tol.geq(a_raw, 0.0) and tol.leq(a_raw, 1.0)):
         raise OutOfRangeError(f"coefficient must lie in [0, 1], got {a_raw}")
     a = min(1.0, max(0.0, float(a_raw)))

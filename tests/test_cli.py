@@ -388,3 +388,96 @@ def test_closed_stdout_exits_2(capsys, monkeypatch, tmp_path, argv):
     assert code == 2
     assert capsys.readouterr().err == "error: stdout is closed\n"
     assert not (tmp_path / "grid.csv").exists()
+
+
+# Every record shape as bytes: text and JSON of each command, and both homes
+# of the region summary (stdout with --out, stderr when the CSV is on stdout)
+TRANSFORM_GOLDEN_JSON = (
+    '{"command": "transform", "inputs": {"source": [0.7, 0.3], '
+    '"target": [0.8, 0.2], "eps": 1e-12}, "results": {"verdict": "forward", '
+    '"forward": true, "backward": false, "entropy_source": 0.881290899231, '
+    '"entropy_target": 0.721928094887}, "status": 0}\n'
+)
+
+CLASSIFY_GOLDEN = """\
+command: classify
+a: 0.7
+b: 0.8
+p: 0.6
+q: 0.55
+eps: 1e-12
+class: true-recovery
+joint_before: (0.42, 0.28, 0.18, 0.12)
+joint_after: (0.44, 0.36, 0.11, 0.09)
+entropy_source: 0.881290899231
+entropy_target: 0.721928094887
+entropy_aux_before: 0.970950594455
+entropy_aux_after: 0.992774453988
+recovered: 0.0218238595331
+status: 0
+"""
+
+BELL_CONCENTRATION_GOLDEN = """\
+command: bell
+a: 0.6
+p: 0.7
+eps: 1e-12
+concentratable: true
+ap: 0.42
+status: 0
+"""
+
+BELL_CONCENTRATION_GOLDEN_JSON = (
+    '{"command": "bell", "inputs": {"a": 0.7, "p": 0.8, "eps": 1e-12}, '
+    '"results": {"concentratable": false, "ap": 0.56}, "status": 1}\n'
+)
+
+REGION_FILE_SUMMARY_GOLDEN = """\
+command: region
+a: 0.7
+b: 0.8
+n: 8
+eps: 1e-12
+out: {out}
+cells: 81
+counts: complete=0 true=4 trivial=0 incomparable=10 increasing=22 infeasible=45
+status: 0
+"""
+
+REGION_STDOUT_SUMMARY_GOLDEN_JSON = (
+    '{"command": "region", "inputs": {"a": 0.7, "b": 0.8, "n": 1, '
+    '"eps": 1e-12, "out": "-"}, "results": {"cells": 4, "counts": '
+    '{"complete": 0, "true": 0, "trivial": 0, "incomparable": 0, '
+    '"increasing": 1, "infeasible": 3}}, "status": 0}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "argv,status,golden",
+    [(["transform", "--source", "0.7,0.3", "--target", "0.8,0.2", "--json"], 0,
+      TRANSFORM_GOLDEN_JSON),
+     (["classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.55"], 0,
+      CLASSIFY_GOLDEN),
+     (["bell", "--a", "0.6", "--p", "0.7"], 0, BELL_CONCENTRATION_GOLDEN),
+     (["bell", "--a", "0.7", "--p", "0.8", "--json"], 1,
+      BELL_CONCENTRATION_GOLDEN_JSON)],
+    ids=["transform-json", "classify-text", "bell-text", "bell-json"],
+)
+def test_record_golden_bytes(capsys, argv, status, golden):
+    assert run(capsys, *argv) == (status, golden, "")
+
+
+def test_region_file_summary_golden(tmp_path, capsys):
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run(capsys, "region", "--a", "0.7", "--b", "0.8", "--n", "8",
+                         "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert out == REGION_FILE_SUMMARY_GOLDEN.format(out=out_path)
+
+
+def test_region_stdout_summary_golden_json(capsys):
+    code, out, err = run(capsys, "region", "--a", "0.7", "--b", "0.8", "--n", "1",
+                         "--json")
+    assert (code, out) == (0, "p,q,class\n0.5,0.5,infeasible\n0.5,1.0,infeasible\n"
+                              "1.0,0.5,increasing\n1.0,1.0,infeasible\n")
+    assert err == REGION_STDOUT_SUMMARY_GOLDEN_JSON

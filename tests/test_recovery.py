@@ -72,6 +72,34 @@ def test_problem_accepts_other_reals():
     assert RecoveryProblem(Fraction(7, 10), 0.8).a == Fraction(7, 10)
 
 
+# each scalar entry point with one wrong-typed argument, and a real of another
+# type that the same argument accepts
+_PROB = RecoveryProblem(0.7, 0.8)
+SCALAR_TYPE_CASES = [
+    (lambda v: classify_point(_PROB, v, 0.55), "p", "0.6", Fraction(3, 5)),
+    (lambda v: classify_point(_PROB, v, 0.55), "p", True, 1),
+    (lambda v: classify_point(_PROB, 0.6, v), "q", None, Fraction(11, 20)),
+    (lambda v: is_feasible_closed_form(_PROB, 0.6, v), "q", "0.55", Fraction(11, 20)),
+    (lambda v: product_spectra(_PROB, v, 0.55), "p", b"0.6", 1),
+    (lambda v: can_concentrate_bell(v, 0.7), "a", "0.6", Fraction(3, 5)),
+    (lambda v: can_concentrate_bell(0.6, v), "p", True, 1),
+    (lambda v: two_qubit(v), "coefficient", "0.7", Fraction(3, 10)),
+    (lambda v: two_qubit(v), "coefficient", True, 1),
+    (lambda v: RecoveryProblem(0.7, 0.8, v), "tol", 1e-3, Tolerance(1e-4)),
+]
+
+
+@pytest.mark.parametrize(
+    "call,name,bad,good", SCALAR_TYPE_CASES,
+    ids=[f"{i}-{c[1]}-{c[2]!r}" for i, c in enumerate(SCALAR_TYPE_CASES)],
+)
+def test_scalar_entry_points_check_types(call, name, bad, good):
+    with pytest.raises(InvalidTypeError,
+                       match=f"^{name} must be a .+, got {re.escape(repr(bad))}$"):
+        call(bad)
+    call(good)
+
+
 def test_problem_tolerance_governs_strictness():
     loose = Tolerance(1e-4)
     with pytest.raises(OutOfRangeError):
