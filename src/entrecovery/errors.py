@@ -5,6 +5,17 @@ Everything derives from ValueError so callers that don't care about the
 fine-grained reason can catch a single class.
 """
 
+__all__ = [
+    "InputDomainError",
+    "EmptyInputError",
+    "NegativeWeightError",
+    "NonFiniteWeightError",
+    "NotNormalizedError",
+    "InvalidTypeError",
+    "OutOfRangeError",
+    "ResolutionTooLargeError",
+]
+
 
 class InputDomainError(ValueError):
     """Base class for all rejected inputs."""

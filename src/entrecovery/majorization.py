@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 
-from .spectra import DEFAULT_TOL, SchmidtSpectrum, Tolerance
+from .spectra import DEFAULT_TOL, SchmidtSpectrum, Tolerance, require_tolerance
 
 __all__ = ["Comparability", "is_majorized_by", "compare"]
 
@@ -39,6 +39,7 @@ def is_majorized_by(
     Spectra of unequal length are zero-padded to the longer length.  Each
     prefix comparison is non-strict within eps.
     """
+    require_tolerance(tol)
     xv, yv = _padded(x, y)
     sx = 0.0
     sy = 0.0
@@ -60,6 +61,7 @@ def compare(
     without elementwise coincidence are a tolerance-width sliver; they are
     reported as Equal so the classification stays total.
     """
+    require_tolerance(tol)
     xv, yv = _padded(x, y)
     if all(tol.close(u, v) for u, v in zip(xv, yv)):
         return Comparability.EQUAL

@@ -50,7 +50,12 @@ def transform_verdict(
 ) -> TransformVerdict:
     """Compare both directions and report entropies alongside the verdict.
 
-    The identity conversion is reported as Equal rather than refused.
+    The identity conversion is reported as Equal rather than refused.  Equal
+    comes first (compare tests elementwise coincidence within eps before any
+    prefix sum), so inside the eps band `forward` can be True where
+    can_transform, which reads only the prefix sums, is False: with eps =
+    1e-12, source (1/4 + 8e-13, 1/4 + 8e-13, 1/4 - 8e-13, 1/4 - 8e-13) is Equal
+    to the uniform target, yet its second prefix sum exceeds 1/2 by 1.6e-12.
     """
     return TransformVerdict(
         compare(source, target, tol), entropy(source), entropy(target)

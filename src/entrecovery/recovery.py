@@ -34,7 +34,7 @@ from .errors import (
     require_real,
 )
 from .majorization import is_majorized_by
-from .spectra import DEFAULT_TOL, SchmidtSpectrum, Tolerance, entropy
+from .spectra import DEFAULT_TOL, SchmidtSpectrum, Tolerance, entropy, require_tolerance
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,8 +71,7 @@ class RecoveryProblem:
         if not (type(self.a) is float and type(self.b) is float):
             require_real("a", self.a)
             require_real("b", self.b)
-        if not isinstance(self.tol, Tolerance):
-            raise InvalidTypeError(f"tol must be a Tolerance, got {self.tol!r}")
+        require_tolerance(self.tol)
         t = self.tol
         if not (t.geq(self.a, 0.5) and t.leq(self.b, 1.0)):
             raise OutOfRangeError(
@@ -185,10 +184,12 @@ def is_feasible_closed_form(prob: RecoveryProblem, p: float, q: float) -> bool:
     Returns
     -------
     bool
-        True iff all of: 1/2 <= q < p <= 1 (q < p strict, so the auxiliary
-        strictly gains entanglement), ap <= bq and
-        (1-b)(1-q) <= (1-a)(1-p) (division-free forms of the slope bounds
-        q >= (a/b)p and 1-q <= ((1-a)/(1-b))(1-p)), and p <= b with q < b.
+        True iff all of: q < p (strict, so the auxiliary strictly gains
+        entanglement), ap <= bq and (1-b)(1-q) <= (1-a)(1-p)
+        (division-free forms of the slope bounds q >= (a/b)p and
+        1-q <= ((1-a)/(1-b))(1-p)), and p <= b with q < b.  The [1/2, 1]
+        part of 1/2 <= q < p <= 1 is enforced by the range gate on p and q,
+        which raises OutOfRangeError instead of returning False.
 
     Never consults the majorization oracle; classify_point is the
     independent ground-truth route and the two are tested for equivalence.
@@ -199,9 +200,7 @@ def is_feasible_closed_form(prob: RecoveryProblem, p: float, q: float) -> bool:
     _require_unit_range(t, p=p, q=q)
     a, b = prob.a, prob.b
     return (
-        t.geq(q, 0.5)
-        and t.leq(p, 1.0)
-        and t.lt(q, p)
+        t.lt(q, p)
         and t.leq(a * p, b * q)
         and t.leq((1.0 - b) * (1.0 - q), (1.0 - a) * (1.0 - p))
         and t.leq(p, b)
@@ -242,6 +241,7 @@ def can_concentrate_bell(a: float, p: float, tol: Tolerance = DEFAULT_TOL) -> bo
     spectrum (with prefix sums (ap, a, 1-(1-a)(1-p))) is still majorized by
     (1/2, 1/2, 0, 0), but only with equality in the first prefix.
     """
+    require_tolerance(tol)
     _require_unit_range(tol, a=a, p=p)
     return tol.lt(a * p, 0.5)
 

@@ -46,6 +46,8 @@ class Tolerance:
     eps: float = 1e-12
 
     def __post_init__(self):
+        if type(self.eps) is not float:
+            require_real("eps", self.eps)
         if not (0.0 < self.eps < 1e-3):
             raise OutOfRangeError(f"eps must lie in (0, 1e-3), got {self.eps}")
 
@@ -66,6 +68,16 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def require_tolerance(tol) -> None:
+    """Raise InvalidTypeError unless tol is a Tolerance.
+
+    The one check of every tol argument; public to the package's modules but
+    not exported, like errors.require_real.
+    """
+    if not isinstance(tol, Tolerance):
+        raise InvalidTypeError(f"tol must be a Tolerance, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -129,9 +141,10 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
     Raises
     ------
     InvalidTypeError (a weight that is not a real number, or is a bool, str,
-    bytes or bytearray), EmptyInputError, NonFiniteWeightError,
-    NegativeWeightError, NotNormalizedError
+    bytes or bytearray, or a tol that is not a Tolerance), EmptyInputError,
+    NonFiniteWeightError, NegativeWeightError, NotNormalizedError
     """
+    require_tolerance(tol)
     vals = []
     for w in raw:
         try:
@@ -163,6 +176,7 @@ def two_qubit(a_raw: float, tol: Tolerance = DEFAULT_TOL) -> TwoQubitPair:
     Accepts any value in [0, 1] (within eps) and canonicalizes to
     a = max(a_raw, 1 - a_raw), so the stored parameter lies in [1/2, 1].
     """
+    require_tolerance(tol)
     if type(a_raw) is not float:
         require_real("coefficient", a_raw)
     if not (tol.geq(a_raw, 0.0) and tol.leq(a_raw, 1.0)):

@@ -1,6 +1,9 @@
-"""Checks made on the package source with `ast`, without running it."""
+"""Checks on the package's imports and public names, most made on the source
+with `ast`."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import entrecovery
@@ -21,4 +24,53 @@ def test_no_private_name_imported_across_modules():
                 continue
             found += [f"{path.name}:{node.lineno} imports {alias.name}"
                       for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def _republished():
+    # the modules whose names the package republishes: its `from .x import *`
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return [node.module for node in tree.body if isinstance(node, ast.ImportFrom)
+            and node.level == 1 and [a.name for a in node.names] == ["*"]]
+
+
+def test_every_library_module_is_republished():
+    # cli is the command-line front end, not part of the library's names
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "cli"}
+    assert sorted(_republished()) == sorted(modules)
+
+
+def test_each_public_name_is_listed_once_by_the_module_that_defines_it():
+    listed = []
+    for name in _republished():
+        module = importlib.import_module(f"entrecovery.{name}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == module.__name__, (name, attr)
+        listed += module.__all__
+    assert len(listed) == len(set(listed)), sorted(n for n in listed if listed.count(n) > 1)
+    assert sorted(entrecovery.__all__) == sorted(listed)
+    ns = {}
+    exec("from entrecovery import *", ns)
+    assert sorted(set(ns) - {"__builtins__"}) == sorted(listed)
+
+
+def test_package_init_lists_no_name_itself():
+    # `from .x import Name` or an assignment in __init__.py would write a
+    # public name down a second time; only __version__ and __all__ are its own
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module is not None:
+            found += [alias.name for alias in node.names if alias.name != "*"]
+        elif isinstance(node, ast.ImportFrom):  # from . import <submodules>
+            found += [alias.name for alias in node.names
+                      if not (PACKAGE / f"{alias.name}.py").is_file()]
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [ast.unparse(t) for t in targets
+                      if ast.unparse(t) not in ("__version__", "__all__")]
+        elif not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
+            found.append(ast.unparse(node).splitlines()[0])
     assert found == []

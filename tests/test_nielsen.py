@@ -12,6 +12,7 @@ from entrecovery import (
     transform_verdict,
     two_qubit,
 )
+from entrecovery.cli import main
 from conftest import doubly_stochastic_mix, random_simplex
 
 
@@ -51,6 +52,24 @@ def test_verdict_incomparable_reports_entropies():
     assert v.comparability is Comparability.INCOMPARABLE
     assert not v.forward and not v.backward
     assert v.entropy_source > 0 and v.entropy_target > 0
+
+
+def test_prefix_and_elementwise_routes_split_inside_the_eps_band(capsys):
+    # every entry is within eps of 1/4, but the second prefix sum overshoots
+    # 1/2 by 1.6e-12: can_transform reads the prefix sums and refuses, while
+    # transform_verdict (and the CLI) first test elementwise equality
+    d = 8e-13
+    source = [0.25 + d, 0.25 + d, 0.25 - d, 0.25 - d]
+    x, y = make_spectrum(source), make_spectrum([0.25] * 4)
+    assert not can_transform(x, y)
+    v = transform_verdict(x, y)
+    assert v.comparability is Comparability.EQUAL
+    assert v.forward and v.backward
+    code = main(["transform", "--source", ",".join(map(repr, source)),
+                 "--target", "0.25,0.25,0.25,0.25"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "verdict: equal\nforward: true\nbackward: true\n" in out
 
 
 @given(

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,14 @@ from entrecovery import (
     OutOfRangeError,
     SchmidtSpectrum,
     Tolerance,
+    can_concentrate_bell,
+    can_transform,
+    compare,
     entropy,
+    is_majorized_by,
     make_spectrum,
     tensor,
+    transform_verdict,
     two_qubit,
 )
 from conftest import random_simplex
@@ -116,6 +122,34 @@ def test_tolerance_bounds():
     with pytest.raises(OutOfRangeError):
         Tolerance(1e-3)
     assert Tolerance(5e-4).eps == 5e-4
+
+
+# every function that takes a tol, given a float where the Tolerance belongs,
+# and Tolerance itself given an eps that is not a real number
+_X, _Y = make_spectrum([0.5, 0.5]), make_spectrum([0.9, 0.1])
+TOL_TYPE_CASES = [
+    (lambda v: can_concentrate_bell(0.6, 0.7, v), "tol", 1e-3, Tolerance(1e-4)),
+    (lambda v: two_qubit(0.7, v), "tol", 1e-3, Tolerance(1e-4)),
+    (lambda v: is_majorized_by(_X, _Y, v), "tol", 1e-3, Tolerance(1e-4)),
+    (lambda v: can_transform(_X, _Y, v), "tol", 1e-3, Tolerance(1e-4)),
+    (lambda v: make_spectrum([1.0], v), "tol", 1e-3, Tolerance(1e-4)),
+    (lambda v: compare(_X, _Y, v), "tol", 1e-3, Tolerance(1e-4)),
+    (lambda v: transform_verdict(_X, _Y, v), "tol", 1e-3, Tolerance(1e-4)),
+    (Tolerance, "eps", "1e-4", Fraction(1, 10_000)),
+    (Tolerance, "eps", None, 1e-4),
+    (Tolerance, "eps", True, 1e-4),
+]
+
+
+@pytest.mark.parametrize(
+    "call,name,bad,good", TOL_TYPE_CASES,
+    ids=[f"{i}-{c[1]}-{c[2]!r}" for i, c in enumerate(TOL_TYPE_CASES)],
+)
+def test_tolerance_arguments_check_types(call, name, bad, good):
+    with pytest.raises(InvalidTypeError,
+                       match=f"^{name} must be a .+, got {re.escape(repr(bad))}$"):
+        call(bad)
+    call(good)
 
 
 def test_tensor_worked_pair():
