@@ -139,6 +139,13 @@ _LADDER_TABLE = bytes(
 ).ljust(256, b"\xff")
 
 
+def _require_problem(prob) -> None:
+    # the one check of every prob argument; callers test `type(prob) is
+    # RecoveryProblem` first and call this only for other types
+    if not isinstance(prob, RecoveryProblem):
+        raise InvalidTypeError(f"prob must be a RecoveryProblem, got {prob!r}")
+
+
 def _require_unit_range(tol: Tolerance, **params: float) -> None:
     # the one gate of every scalar p, q (and a for can_concentrate_bell)
     for name, v in params.items():
@@ -164,6 +171,8 @@ def product_spectra(
     prob: RecoveryProblem, p: float, q: float
 ) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
     """Joint spectra (source x auxiliary-before, target x auxiliary-after)."""
+    if type(prob) is not RecoveryProblem:
+        _require_problem(prob)
     _require_unit_range(prob.tol, p=p, q=q)
     x = SchmidtSpectrum(tuple(_sorted_products(prob.a, p)))
     y = SchmidtSpectrum(tuple(_sorted_products(prob.b, q)))
@@ -194,6 +203,8 @@ def is_feasible_closed_form(prob: RecoveryProblem, p: float, q: float) -> bool:
     Never consults the majorization oracle; classify_point is the
     independent ground-truth route and the two are tested for equivalence.
     """
+    if type(prob) is not RecoveryProblem:
+        _require_problem(prob)
     t = prob.tol
     if not t.lt(prob.b, 1.0):
         raise OutOfRangeError("closed-form region requires b < 1")
@@ -215,8 +226,8 @@ def classify_point(prob: RecoveryProblem, p: float, q: float) -> RegionClass:
     precedence among the classes, with scalar arithmetic.  The closed form
     never enters; see is_feasible_closed_form.
     """
+    x, y = product_spectra(prob, p, q)  # checks prob, p and q
     t = prob.tol
-    x, y = product_spectra(prob, p, q)
     return _ladder(
         swap=t.close(p, prob.b) and t.close(q, prob.a),
         gain=t.lt(q, p) and t.lt(_pair_entropy(p), _pair_entropy(q)),
@@ -229,6 +240,8 @@ def classify_point(prob: RecoveryProblem, p: float, q: float) -> RegionClass:
 
 def bell_bound(prob: RecoveryProblem) -> float:
     """Largest auxiliary parameter p for which a Bell pair (q = 1/2) is reachable."""
+    if type(prob) is not RecoveryProblem:
+        _require_problem(prob)
     return prob.b / (2.0 * prob.a)
 
 
@@ -290,15 +303,25 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     Internally vectorized, but cell-for-cell identical to calling
     classify_point on each (p_i, q_j): the axis values, sorted product
     spectra and prefix sums are computed in numpy with the same IEEE
-    operations as the scalar code, the pair entropies by the scalar code
-    itself, and the cross comparisons use the same IEEE operations.  The
-    equal-spectra test runs only on each row's thin window of candidate
-    columns.  The predicates of each cell are packed into one byte, which a
-    table built from _ladder maps to its class.  Deterministic for fixed
-    (a, b, n, eps).  Peak extra memory is a few (chunk x m) bool masks for
-    m = n + 1, index arrays over those windows and the (m x m) keys;
-    no float array per cell.
+    operations as the scalar code, and the pair entropies by the scalar code
+    itself.  Along a grid row every predicate is one interval of columns,
+    cut by the boundary lines of the region: fwd is a suffix, rev, gain and
+    q < a are prefixes.  Each cut is bracketed by one searchsorted on the
+    running maximum and one on the running minimum of its column array,
+    which is exact even where rounding makes that array non-monotone.  A
+    row whose brackets all close is settled and is written as at most five
+    runs of equal keys; only the open rows, where a bracket stays wide, get
+    the cell-by-cell float comparisons of the scalar code.  The equal-spectra
+    test runs only on each row's thin window of candidate columns.  The
+    predicates of each cell are packed into one byte, which a table built
+    from _ladder maps to its class.  Deterministic for fixed (a, b, n, eps).
+    Peak extra memory, for m = n + 1: the (m x m) keys and codes, O(m)
+    thresholds, and per chunk of rows the repeated runs, a few
+    (chunk x m) bool masks over its open rows and index arrays over its
+    windows; no float array per cell.
     """
+    if type(prob) is not RecoveryProblem:
+        _require_problem(prob)
     import numpy as np
     if isinstance(n, bool) or not hasattr(n, "__index__"):
         raise InvalidTypeError(f"grid resolution must be an integer, got {n!r}")
@@ -312,53 +335,89 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     m = n + 1
     pv = 0.5 + np.arange(m) / (2 * n)  # i / (2n) is correctly rounded either way
     qv = 1.0 - pv
-
-    def sorted_products(c):  # _sorted_products row by row, same IEEE operations
-        v = np.stack([c * pv, c * qv, (1.0 - c) * pv, (1.0 - c) * qv], axis=1)
-        return np.sort(v, axis=1)[:, ::-1]
-
-    x4, y4 = sorted_products(a), sorted_products(b)
+    # _sorted_products row by row, source (c = a) and target (c = b) at once,
+    # with the same IEEE operations
+    c = np.array([[a], [b]])
+    xy4 = np.sort(np.stack([c * pv, c * qv, (1.0 - c) * pv, (1.0 - c) * qv], axis=2),
+                  axis=2)[..., ::-1]
+    x4, y4 = xy4
     # sequential left-to-right sums, as in is_majorized_by
-    sx = np.cumsum(x4[:, :3], axis=1)
-    sy = np.cumsum(y4[:, :3], axis=1)
+    sx, sy = np.cumsum(xy4[..., :3], axis=2)
     hv = np.array([_pair_entropy(v) for v in pv.tolist()])
     sx_eps, sy_eps, hv_eps, pv_eps = sx + eps, sy + eps, hv - eps, pv - eps
+
+    # Along row i each predicate is one interval of columns: fwd a suffix,
+    # rev and gain prefixes.  Each row of cols holds the test col[j] < t
+    # (side "left"; fwd is its negation) or col[j] <= t ("right") for the
+    # row's t in vals.  Rounding can make col non-monotone (sy[:, 1] is flat
+    # at b for q <= b), so each threshold is bracketed: the test holds for
+    # j < lo, where the running maximum of col passes it, and fails for
+    # j >= hi, where the running minimum of col[j:] fails it.
+    cols = np.concatenate([sy_eps.T, sy.T, -hv_eps[None]])
+    vals = np.concatenate([sx.T, sx_eps.T, -hv[None]])
+    up = np.maximum.accumulate(cols, axis=1)
+    down = np.minimum.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
+    t_lo, t_hi = np.empty((2, 7, m), dtype=np.intp)
+    for k, side in enumerate(("left",) * 3 + ("right",) * 3 + ("left",)):
+        t_lo[k] = up[k].searchsorted(vals[k], side)
+        t_hi[k] = down[k].searchsorted(vals[k], side)
+    # fwd fails for j < fwd_lo and holds from fwd_hi on; rev and gain hold
+    # for j < *_lo and fail from *_hi on; q_j < p_i - eps needs no bracket,
+    # as pv is exactly monotone
+    fwd_lo, fwd_hi = t_lo[:3].max(axis=0), t_hi[:3].max(axis=0)
+    rev_lo, rev_hi = t_lo[3:6].min(axis=0), t_hi[3:6].min(axis=0)
+    below_p = pv.searchsorted(pv_eps)
+    gain_lo, gain_hi = np.minimum(t_lo[6], below_p), np.minimum(t_hi[6], below_p)
+    settled = (fwd_lo == fwd_hi) & (rev_lo == rev_hi) & (gain_lo == gain_hi)
+
+    # Each settled row is at most five runs of equal keys, cut where a
+    # predicate changes; below_a (q < a) is a column prefix.  Every row is
+    # written so; the loop below rewrites the open ones.
+    below_a = pv.searchsorted(a - eps)
+    cuts = np.empty((m, 6), dtype=np.intp)
+    cuts[:, 0], cuts[:, 1], cuts[:, 5] = 0, below_a, m
+    cuts[:, 2], cuts[:, 3], cuts[:, 4] = fwd_lo, rev_lo, gain_lo
+    cuts.sort(axis=1)
+    run_start, run_len = cuts[:, :5], np.diff(cuts, axis=1)
+    run_key = ((run_start < below_a).view(np.uint8) * _BELOW_A
+               | (run_start >= fwd_lo[:, None]).view(np.uint8) * _FWD
+               | (run_start < rev_lo[:, None]).view(np.uint8) * _REV
+               | (run_start < gain_lo[:, None]).view(np.uint8) * _GAIN)
 
     # Equal spectra need |x_0 - y_0| <= eps, and y_0 = b*q_j is non-decreasing
     # in j (b > 1/2, q >= 1/2), so each row's candidates form one column
     # window.  |fl(x_0 - y_0)| <= eps implies |x_0 - y_0| < 2*eps, so by
     # monotone rounding the 4*eps window keeps every such column.
-    jlo = np.searchsorted(y4[:, 0], x4[:, 0] - 4 * eps)
-    jhi = np.searchsorted(y4[:, 0], x4[:, 0] + 4 * eps, side="right")
-
-    # the key bits that depend on one axis: below_a on the column, and swap
-    # on the columns of the rows where p is within eps of b
-    col_key = (pv < a - eps).view(np.uint8) * _BELOW_A
-    swap_key = col_key | (np.abs(pv - a) <= eps).view(np.uint8) * _SWAP
-    near_b = np.abs(pv - b) <= eps
-
+    jlo = y4[:, 0].searchsorted(x4[:, 0] - 4 * eps)
+    jhi = y4[:, 0].searchsorted(x4[:, 0] + 4 * eps, side="right")
     keys = bytearray(m * m)
     key_rows = np.frombuffer(keys, dtype=np.uint8).reshape(m, m)
     chunk = max(1, min(m, 2_000_000 // m))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        fwd = sx[lo:hi, 0, None] <= sy_eps[:, 0]
-        rev = sy[:, 0] <= sx_eps[lo:hi, 0, None]
-        for k in (1, 2):
-            fwd &= sx[lo:hi, k, None] <= sy_eps[:, k]
-            rev &= sy[:, k] <= sx_eps[lo:hi, k, None]
-        gain = (pv < pv_eps[lo:hi, None]) & (hv[lo:hi, None] < hv_eps)
-
-        key = key_rows[lo:hi]
-        key[:] = col_key
-        key[near_b[lo:hi]] = swap_key
-        for bit, mask in ((_FWD, fwd), (_REV, rev), (_GAIN, gain)):
-            key |= mask.view(np.uint8) * bit
+        key_rows[lo:hi] = np.repeat(run_key[lo:hi], run_len[lo:hi].ravel()).reshape(-1, m)
+        # open rows: the float comparisons of classify_point, cell by cell
+        rows = lo + np.flatnonzero(~settled[lo:hi])
+        if rows.size:
+            fwd = sx[rows, 0, None] <= sy_eps[:, 0]
+            rev = sy[:, 0] <= sx_eps[rows, 0, None]
+            for k in (1, 2):
+                fwd &= sx[rows, k, None] <= sy_eps[:, k]
+                rev &= sy[:, k] <= sx_eps[rows, k, None]
+            gain = (pv < pv_eps[rows, None]) & (hv[rows, None] < hv_eps)
+            key = fwd.view(np.uint8)  # _FWD is bit 0: a True byte is that bit
+            for bit, mask in ((_REV, rev), (_GAIN, gain), (_BELOW_A, pv < a - eps)):
+                key |= mask.view(np.uint8) * bit
+            key_rows[rows] = key
+            del fwd, rev, gain, key  # free the masks before the next chunk
         width = jhi[lo:hi] - jlo[lo:hi]
         start = np.cumsum(width) - width  # where each row's candidates begin
-        ci = np.repeat(np.arange(hi - lo), width)  # candidate cells (ci, cj)
-        cj = jlo[lo:hi][ci] + np.arange(ci.size) - start[ci]
-        equal = (np.abs(x4[lo + ci] - y4[cj]) <= eps).all(axis=1)
-        key[ci[equal], cj[equal]] |= _EQUAL
+        ci = np.repeat(np.arange(lo, hi), width)  # candidate cells (ci, cj)
+        cj = jlo[ci] + np.arange(ci.size) - start[ci - lo]
+        equal = (np.abs(x4[ci] - y4[cj]) <= eps).all(axis=1)
+        key_rows[ci[equal], cj[equal]] |= _EQUAL
+    # the swap bit: rows with p within eps of b, columns with q within eps of a
+    for i in np.flatnonzero(np.abs(pv - b) <= eps):
+        key_rows[i] |= (np.abs(pv - a) <= eps).view(np.uint8) * _SWAP
     codes = np.frombuffer(keys.translate(_LADDER_TABLE), dtype=np.uint8).reshape(m, m)
     return RegionGrid(a=a, b=b, n=n, codes=codes)

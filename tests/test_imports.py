@@ -74,3 +74,13 @@ def test_package_init_lists_no_name_itself():
         elif not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
             found.append(ast.unparse(node).splitlines()[0])
     assert found == []
+
+
+def test_no_assert_statement_in_the_package():
+    # `python -O` strips asserts, so a check on input must raise instead
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

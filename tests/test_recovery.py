@@ -100,6 +100,30 @@ def test_scalar_entry_points_check_types(call, name, bad, good):
     call(good)
 
 
+class _SubProblem(RecoveryProblem):
+    pass
+
+
+# each function that takes a prob, called with the prob in place
+PROB_CALLS = {
+    "product_spectra": lambda prob: product_spectra(prob, 0.6, 0.55),
+    "is_feasible_closed_form": lambda prob: is_feasible_closed_form(prob, 0.6, 0.55),
+    "classify_point": lambda prob: classify_point(prob, 0.6, 0.55),
+    "bell_bound": bell_bound,
+    "region_grid": lambda prob: region_grid(prob, 4),
+}
+
+
+@pytest.mark.parametrize("bad", ["x", None, 0.7, (0.7, 0.8)], ids=repr)
+@pytest.mark.parametrize("call", PROB_CALLS.values(), ids=PROB_CALLS)
+def test_prob_arguments_check_type(call, bad):
+    with pytest.raises(InvalidTypeError,
+                       match=f"^prob must be a RecoveryProblem, got {re.escape(repr(bad))}$"):
+        call(bad)
+    call(RecoveryProblem(0.7, 0.8))
+    call(_SubProblem(0.7, 0.8))
+
+
 def test_problem_tolerance_governs_strictness():
     loose = Tolerance(1e-4)
     with pytest.raises(OutOfRangeError):
@@ -387,6 +411,31 @@ def test_region_grid_chunk_seam_matches_scalar_classifier():
         p = g.p_value(i)
         for j in range(n + 1):
             assert g.class_at(i, j) is classify_point(prob, p, g.q_value(j)), (i, j)
+
+
+# b - a is one eps and a few ulps, so a + eps lies within rounding of b: the
+# second prefix sum of the target, flat at b for q <= b, jitters by ulps
+# around the threshold of reverse majorization, and the kernel's bracket of
+# that threshold stays open on every row with p < a, which then takes the
+# dense cell-by-cell comparison
+OPEN_BRACKETS = RecoveryProblem(
+    0.9440145989529203, 0.9440145989529222, Tolerance(1.7488832477578608e-15)
+)
+
+
+def test_region_grid_open_brackets_match_scalar_classifier():
+    _assert_grid_matches_scalar_classifier(OPEN_BRACKETS, 200)
+
+
+def test_region_grid_open_rows_across_chunk_seam_match_scalar_classifier():
+    # at n = 1500 the chunks hold 1332 rows, and rows 0..1332 (p < a) are
+    # open: rows 1330, 1331 | 1332 straddle the seam, and 1333 is settled
+    n = 1500
+    g = region_grid(OPEN_BRACKETS, n)
+    for i in (1330, 1331, 1332, 1333):
+        p = g.p_value(i)
+        for j in range(n + 1):
+            assert g.class_at(i, j) is classify_point(OPEN_BRACKETS, p, g.q_value(j)), (i, j)
 
 
 def test_region_grid_several_complete_cells():

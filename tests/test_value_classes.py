@@ -1,6 +1,7 @@
 """Public semantics of the six value classes: equality, hashing, repr and
 immutability, pinned independently of how the classes are implemented."""
 
+import numpy as np
 import pytest
 
 from entrecovery import (
@@ -67,3 +68,13 @@ def test_region_grid_compares_by_identity():
     with pytest.raises(AttributeError):
         g.n = 3
     assert g.n == 2
+
+
+def test_region_grid_codes_are_a_writable_uint8_matrix():
+    # callers may index, slice and modify the codes of their own grid
+    codes = region_grid(RecoveryProblem(0.7, 0.8), 6).codes
+    assert type(codes) is np.ndarray
+    assert codes.dtype == np.uint8 and codes.shape == (7, 7)
+    assert codes.flags.c_contiguous and codes.flags.writeable
+    codes[0, 0] = 0
+    assert codes[0, 0] == 0
