@@ -19,7 +19,6 @@ order (p outer).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -79,6 +78,7 @@ class CliUsageError(Exception):
 def _render(record: dict, as_json: bool) -> str:
     """The record as one JSON object, or as one `key: value` line per item."""
     if as_json:
+        import json  # only --json needs it, so text-mode calls skip the import
         return json.dumps(_round12(record))
     items = [
         ("command", record["command"]),

@@ -7,10 +7,8 @@ target's.  Entanglement entropy can only decrease along such a conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .majorization import Comparability, compare, is_majorized_by
-from .spectra import DEFAULT_TOL, SchmidtSpectrum, Tolerance, entropy
+from .spectra import DEFAULT_TOL, FrozenValue, SchmidtSpectrum, Tolerance, entropy
 
 __all__ = ["can_transform", "transform_verdict", "TransformVerdict"]
 
@@ -22,13 +20,16 @@ def can_transform(
     return is_majorized_by(source, target, tol)
 
 
-@dataclass(frozen=True)
-class TransformVerdict:
+class TransformVerdict(FrozenValue):
     """Comparability of a source/target pair plus both entanglement entropies."""
 
-    comparability: Comparability
-    entropy_source: float
-    entropy_target: float
+    __slots__ = __match_args__ = ("comparability", "entropy_source", "entropy_target")
+
+    def __init__(self, comparability: Comparability, entropy_source: float,
+                 entropy_target: float):
+        object.__setattr__(self, "comparability", comparability)
+        object.__setattr__(self, "entropy_source", entropy_source)
+        object.__setattr__(self, "entropy_target", entropy_target)
 
     @property
     def forward(self) -> bool:

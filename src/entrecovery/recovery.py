@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -34,7 +33,14 @@ from .errors import (
     require_real,
 )
 from .majorization import is_majorized_by
-from .spectra import DEFAULT_TOL, SchmidtSpectrum, Tolerance, entropy, require_tolerance
+from .spectra import (
+    DEFAULT_TOL,
+    FrozenValue,
+    SchmidtSpectrum,
+    Tolerance,
+    entropy,
+    require_tolerance,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,8 +60,7 @@ __all__ = [
 MAX_GRID_N = 10_000
 
 
-@dataclass(frozen=True)
-class RecoveryProblem:
+class RecoveryProblem(FrozenValue):
     """Fixed source/target parameters 1/2 <= a < b <= 1 of a recovery scenario.
 
     a < b must hold strictly beyond eps (equal pairs need no recovery).
@@ -63,24 +68,24 @@ class RecoveryProblem:
     the closed-form region requires b < 1; see is_feasible_closed_form.
     """
 
-    a: float
-    b: float
-    tol: Tolerance = field(default=DEFAULT_TOL)
+    __slots__ = __match_args__ = ("a", "b", "tol")
 
-    def __post_init__(self):
-        if not (type(self.a) is float and type(self.b) is float):
-            require_real("a", self.a)
-            require_real("b", self.b)
-        require_tolerance(self.tol)
-        t = self.tol
-        if not (t.geq(self.a, 0.5) and t.leq(self.b, 1.0)):
+    def __init__(self, a: float, b: float, tol: Tolerance = DEFAULT_TOL):
+        if not (type(a) is float and type(b) is float):
+            require_real("a", a)
+            require_real("b", b)
+        require_tolerance(tol)
+        if not (tol.geq(a, 0.5) and tol.leq(b, 1.0)):
             raise OutOfRangeError(
-                f"need 1/2 <= a and b <= 1, got a={self.a}, b={self.b}"
+                f"need 1/2 <= a and b <= 1, got a={a}, b={b}"
             )
-        if not t.lt(self.a, self.b):
+        if not tol.lt(a, b):
             raise OutOfRangeError(
-                f"need a < b strictly beyond eps, got a={self.a}, b={self.b}"
+                f"need a < b strictly beyond eps, got a={a}, b={b}"
             )
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "tol", tol)
 
 
 class RegionClass(enum.Enum):
@@ -259,20 +264,24 @@ def can_concentrate_bell(a: float, p: float, tol: Tolerance = DEFAULT_TOL) -> bo
     return tol.lt(a * p, 0.5)
 
 
-@dataclass(frozen=True, eq=False)
-class RegionGrid:
+class RegionGrid(FrozenValue):
     """Rasterized classification of [1/2, 1]^2 at resolution n.
 
     codes[i, j] stores the class of (p_i, q_j) with p_i = 1/2 + i/(2n) and
     q_j = 1/2 + j/(2n), both exact float expressions, as an index into the
     RegionClass definition order (complete, true, trivial, incomparable,
-    increasing, infeasible).
+    increasing, infeasible).  A grid equals only itself.
     """
 
-    a: float
-    b: float
-    n: int
-    codes: np.ndarray
+    __slots__ = __match_args__ = ("a", "b", "n", "codes")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, a: float, b: float, n: int, codes: np.ndarray):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "codes", codes)
 
     def _check_index(self, *indices: int) -> None:
         for k in indices:

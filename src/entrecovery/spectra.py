@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .errors import (
     EmptyInputError,
@@ -34,8 +33,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class FrozenValue:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields once, as `__slots__ = __match_args__ =
+    (...)`, and sets them in __init__ through object.__setattr__.  Equality,
+    hash and repr follow those fields in order, and instances of different
+    classes never compare equal.  Assigning or deleting an attribute raises
+    AttributeError.  Pickle and copy rebuild an instance by calling its class
+    with its fields.  Public to the package's modules but not exported, like
+    require_tolerance.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Tolerance(FrozenValue):
     """Absolute comparison tolerance used by every predicate in the package.
 
     All strict and non-strict comparisons route through the methods below so
@@ -43,13 +80,14 @@ class Tolerance:
     "strict beyond eps" means lt/gt.
     """
 
-    eps: float = 1e-12
+    __slots__ = __match_args__ = ("eps",)
 
-    def __post_init__(self):
-        if type(self.eps) is not float:
-            require_real("eps", self.eps)
-        if not (0.0 < self.eps < 1e-3):
-            raise OutOfRangeError(f"eps must lie in (0, 1e-3), got {self.eps}")
+    def __init__(self, eps: float = 1e-12):
+        if type(eps) is not float:
+            require_real("eps", eps)
+        if not (0.0 < eps < 1e-3):
+            raise OutOfRangeError(f"eps must lie in (0, 1e-3), got {eps}")
+        object.__setattr__(self, "eps", eps)
 
     def leq(self, x: float, y: float) -> bool:
         return x <= y + self.eps
@@ -80,15 +118,17 @@ def require_tolerance(tol) -> None:
         raise InvalidTypeError(f"tol must be a Tolerance, got {tol!r}")
 
 
-@dataclass(frozen=True)
-class SchmidtSpectrum:
+class SchmidtSpectrum(FrozenValue):
     """Probability vector of squared Schmidt coefficients, sorted non-increasing.
 
     Direct construction trusts the caller to pass canonical values (sorted,
     normalized, in [0,1]); use make_spectrum for anything unvalidated.
     """
 
-    values: tuple[float, ...]
+    __slots__ = __match_args__ = ("values",)
+
+    def __init__(self, values: tuple[float, ...]):
+        object.__setattr__(self, "values", values)
 
     @property
     def dim(self) -> int:
@@ -101,21 +141,23 @@ class SchmidtSpectrum:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class TwoQubitPair:
+class TwoQubitPair(FrozenValue):
     """Two-qubit pure state, parameterized by its larger squared coefficient a.
 
     Canonical range is 1/2 <= a <= 1; a = 1/2 is a Bell pair, a = 1 a product
     state.  Build through two_qubit() to canonicalize either coefficient.
     """
 
-    a: float
+    __slots__ = __match_args__ = ("a",)
 
-    def __post_init__(self):
-        if not (DEFAULT_TOL.geq(self.a, 0.5) and DEFAULT_TOL.leq(self.a, 1.0)):
+    def __init__(self, a: float):
+        if type(a) is not float:
+            require_real("a", a)
+        if not (DEFAULT_TOL.geq(a, 0.5) and DEFAULT_TOL.leq(a, 1.0)):
             raise OutOfRangeError(
-                f"two-qubit parameter must lie in [1/2, 1], got {self.a}"
+                f"two-qubit parameter must lie in [1/2, 1], got {a}"
             )
+        object.__setattr__(self, "a", a)
 
     @property
     def spectrum(self) -> SchmidtSpectrum:

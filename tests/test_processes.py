@@ -68,6 +68,35 @@ def test_scalar_commands_do_not_import_numpy():
     assert proc.stdout == b"ok\n"
 
 
+# Answers one text-mode transform, classify and bell query, then one --json
+# query.  It checks sys.modules before anything else could import these
+# modules: pkgutil.iter_modules, which IMPORT_GUARD calls, imports inspect.
+LAZY_IMPORT_GUARD = """
+import contextlib, io, sys
+import entrecovery.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        entrecovery.cli.main(["transform", "--a", "0.7", "--b", "0.8"]),
+        entrecovery.cli.main(["classify", "--a", "0.7", "--b", "0.8",
+                              "--p", "0.6", "--q", "0.55"]),
+        entrecovery.cli.main(["bell", "--a", "0.6", "--p", "0.7", "--b", "0.9"]),
+    ]
+assert codes == [0, 0, 0], codes
+loaded = [m for m in ("dataclasses", "inspect", "json") if m in sys.modules]
+assert loaded == [], f"text-mode commands imported {loaded}"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert entrecovery.cli.main(["bell", "--a", "0.6", "--p", "0.7", "--json"]) == 0
+assert "json" in sys.modules
+print("ok")
+"""
+
+
+def test_text_commands_do_not_import_dataclasses_inspect_or_json():
+    proc = _run(["-c", LAZY_IMPORT_GUARD])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"ok\n"
+
+
 def test_reproduce_examples_script_passes():
     proc = _run([str(REPO / "scripts" / "reproduce_examples.py")])
     assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()

@@ -14,6 +14,7 @@ from entrecovery import (
     RegionClass,
     ResolutionTooLargeError,
     Tolerance,
+    TwoQubitPair,
     bell_bound,
     can_concentrate_bell,
     can_transform,
@@ -86,6 +87,10 @@ SCALAR_TYPE_CASES = [
     (lambda v: two_qubit(v), "coefficient", "0.7", Fraction(3, 10)),
     (lambda v: two_qubit(v), "coefficient", True, 1),
     (lambda v: RecoveryProblem(0.7, 0.8, v), "tol", 1e-3, Tolerance(1e-4)),
+    (TwoQubitPair, "a", "0.7", Fraction(7, 10)),
+    (TwoQubitPair, "a", None, 1),
+    (TwoQubitPair, "a", True, 1),
+    (TwoQubitPair, "a", b"0.7", 0.7),
 ]
 
 

@@ -1,12 +1,18 @@
-"""Public semantics of the six value classes: equality, hashing, repr and
-immutability, pinned independently of how the classes are implemented."""
+"""Public semantics of the six value classes: equality, hashing, repr,
+immutability, keyword construction and defaults, pattern matching, pickle
+and copy, pinned independently of how the classes are implemented."""
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
 
 from entrecovery import (
+    DEFAULT_TOL,
     Comparability,
     RecoveryProblem,
+    RegionGrid,
     SchmidtSpectrum,
     Tolerance,
     TransformVerdict,
@@ -78,3 +84,75 @@ def test_region_grid_codes_are_a_writable_uint8_matrix():
     assert codes.flags.c_contiguous and codes.flags.writeable
     codes[0, 0] = 0
     assert codes[0, 0] == 0
+
+
+# per class: its fields in order, and keyword arguments for one value
+FIELD_CASES = {
+    "Tolerance": (Tolerance, ("eps",), {"eps": 1e-9}),
+    "SchmidtSpectrum": (SchmidtSpectrum, ("values",), {"values": (0.7, 0.3)}),
+    "TwoQubitPair": (TwoQubitPair, ("a",), {"a": 0.7}),
+    "RecoveryProblem": (RecoveryProblem, ("a", "b", "tol"),
+                        {"a": 0.7, "b": 0.8, "tol": Tolerance(1e-9)}),
+    "TransformVerdict": (TransformVerdict,
+                         ("comparability", "entropy_source", "entropy_target"),
+                         {"comparability": Comparability.LEFT_MAJORIZED,
+                          "entropy_source": 1.0, "entropy_target": 0.5}),
+    "RegionGrid": (RegionGrid, ("a", "b", "n", "codes"),
+                   {"a": 0.7, "b": 0.8, "n": 2,
+                    "codes": np.arange(9, dtype=np.uint8).reshape(3, 3)}),
+}
+
+
+def _same_fields(x, y, fields):
+    for name in fields:
+        u, v = getattr(x, name), getattr(y, name)
+        if isinstance(u, np.ndarray):
+            assert type(v) is np.ndarray and u.dtype == v.dtype
+            assert np.array_equal(u, v)
+        else:
+            assert u == v
+
+
+@pytest.mark.parametrize("cls,fields,kwargs", FIELD_CASES.values(), ids=FIELD_CASES)
+def test_value_class_keyword_construction_and_match_args(cls, fields, kwargs):
+    assert cls.__match_args__ == fields
+    x = cls(**kwargs)
+    for name in fields:
+        assert getattr(x, name) is kwargs[name]
+    _same_fields(x, cls(*kwargs.values()), fields)
+
+
+@pytest.mark.parametrize("cls,fields,kwargs", FIELD_CASES.values(), ids=FIELD_CASES)
+def test_value_class_pickle_and_copy(cls, fields, kwargs):
+    x = cls(**kwargs)
+    clones = [pickle.loads(pickle.dumps(x, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    clones += [copy.copy(x), copy.deepcopy(x)]
+    for y in clones:
+        assert type(y) is cls
+        _same_fields(x, y, fields)
+        if cls is not RegionGrid:  # a grid equals only itself
+            assert y == x and hash(y) == hash(x)
+
+
+@pytest.mark.parametrize("cls,fields,kwargs", FIELD_CASES.values(), ids=FIELD_CASES)
+def test_value_class_fields_cannot_be_deleted(cls, fields, kwargs):
+    x = cls(**kwargs)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert getattr(x, name) is kwargs[name]
+
+
+def test_value_class_defaults():
+    assert Tolerance().eps == 1e-12 and Tolerance() == Tolerance(1e-12)
+    assert RecoveryProblem(0.7, 0.8).tol is DEFAULT_TOL
+    assert RecoveryProblem(a=0.7, b=0.8) == RecoveryProblem(0.7, 0.8, DEFAULT_TOL)
+
+
+def test_value_class_match_statement():
+    match RecoveryProblem(0.7, 0.8):
+        case RecoveryProblem(a, b, tol=Tolerance(eps)):
+            assert (a, b, eps) == (0.7, 0.8, 1e-12)
+        case _:
+            pytest.fail("RecoveryProblem did not match its class pattern")
