@@ -151,6 +151,13 @@ def _require_problem(prob) -> None:
         raise InvalidTypeError(f"prob must be a RecoveryProblem, got {prob!r}")
 
 
+def _require_int(name: str, v) -> int:
+    # a plain int, so RegionGrid's axis values are plain floats
+    if isinstance(v, bool) or not hasattr(v, "__index__"):
+        raise InvalidTypeError(f"{name} must be an integer, got {v!r}")
+    return operator.index(v)
+
+
 def _require_unit_range(tol: Tolerance, **params: float) -> None:
     # the one gate of every scalar p, q (and a for can_concentrate_bell)
     for name, v in params.items():
@@ -283,22 +290,19 @@ class RegionGrid(FrozenValue):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "codes", codes)
 
-    def _check_index(self, *indices: int) -> None:
-        for k in indices:
-            if not 0 <= k <= self.n:
-                raise IndexError(f"grid index {k} outside 0..{self.n}")
+    def _check_index(self, k: int) -> int:
+        k = _require_int("grid index", k)
+        if not 0 <= k <= self.n:
+            raise IndexError(f"grid index {k} outside 0..{self.n}")
+        return k
 
     def p_value(self, i: int) -> float:
-        self._check_index(i)
-        return 0.5 + i / (2 * self.n)
+        return 0.5 + self._check_index(i) / (2 * self.n)
 
-    def q_value(self, j: int) -> float:
-        self._check_index(j)
-        return 0.5 + j / (2 * self.n)
+    q_value = p_value  # both axes take the same values
 
     def class_at(self, i: int, j: int) -> RegionClass:
-        self._check_index(i, j)
-        return _CLASSES[self.codes[i, j]]
+        return _CLASSES[self.codes[self._check_index(i), self._check_index(j)]]
 
     def counts(self) -> dict[RegionClass, int]:
         import numpy as np
@@ -317,24 +321,21 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     cut by the boundary lines of the region: fwd is a suffix, rev, gain and
     q < a are prefixes.  Each cut is bracketed by one searchsorted on the
     running maximum and one on the running minimum of its column array,
-    which is exact even where rounding makes that array non-monotone.  A
-    row whose brackets all close is settled and is written as at most five
-    runs of equal keys; only the open rows, where a bracket stays wide, get
-    the cell-by-cell float comparisons of the scalar code.  The equal-spectra
-    test runs only on each row's thin window of candidate columns.  The
-    predicates of each cell are packed into one byte, which a table built
-    from _ladder maps to its class.  Deterministic for fixed (a, b, n, eps).
-    Peak extra memory, for m = n + 1: the (m x m) keys and codes, O(m)
-    thresholds, and per chunk of rows the repeated runs, a few
-    (chunk x m) bool masks over its open rows and index arrays over its
-    windows; no float array per cell.
+    which is exact even where rounding makes that array non-monotone.  Each
+    row is written as at most five runs of equal keys; only the columns of a
+    bracket that stays open get the float comparisons of the scalar code,
+    and the equal-spectra test only each row's thin window of candidate
+    columns.  The predicates of each cell are packed into one byte, which a
+    table built from _ladder maps to its class.  Deterministic for fixed
+    (a, b, n, eps).  Peak extra memory, for m = n + 1: the (m x m) keys and
+    codes, O(m) thresholds, and per chunk of rows the repeated runs, the
+    bool masks of one bracket rectangle (at most chunk x m cells) and index
+    arrays over the equal-spectra windows; no float array per cell.
     """
     if type(prob) is not RecoveryProblem:
         _require_problem(prob)
     import numpy as np
-    if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise InvalidTypeError(f"grid resolution must be an integer, got {n!r}")
-    n = operator.index(n)  # a plain int, so p_value gives plain floats
+    n = _require_int("grid resolution", n)
     if n < 1:
         raise OutOfRangeError(f"grid resolution must be >= 1, got {n}")
     if n > MAX_GRID_N:
@@ -372,24 +373,23 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
         t_hi[k] = down[k].searchsorted(vals[k], side)
     # fwd fails for j < fwd_lo and holds from fwd_hi on; rev and gain hold
     # for j < *_lo and fail from *_hi on; q_j < p_i - eps needs no bracket,
-    # as pv is exactly monotone
+    # as pv is exactly monotone, and holds for every j < gain_hi
     fwd_lo, fwd_hi = t_lo[:3].max(axis=0), t_hi[:3].max(axis=0)
     rev_lo, rev_hi = t_lo[3:6].min(axis=0), t_hi[3:6].min(axis=0)
     below_p = pv.searchsorted(pv_eps)
     gain_lo, gain_hi = np.minimum(t_lo[6], below_p), np.minimum(t_hi[6], below_p)
-    settled = (fwd_lo == fwd_hi) & (rev_lo == rev_hi) & (gain_lo == gain_hi)
 
-    # Each settled row is at most five runs of equal keys, cut where a
-    # predicate changes; below_a (q < a) is a column prefix.  Every row is
-    # written so; the loop below rewrites the open ones.
+    # Each row is at most five runs of equal keys, cut where a predicate
+    # changes; below_a (q < a) is a column prefix.  A predicate's bit starts
+    # unset on the undecided columns [lo, hi) of its bracket.
     below_a = pv.searchsorted(a - eps)
     cuts = np.empty((m, 6), dtype=np.intp)
     cuts[:, 0], cuts[:, 1], cuts[:, 5] = 0, below_a, m
-    cuts[:, 2], cuts[:, 3], cuts[:, 4] = fwd_lo, rev_lo, gain_lo
+    cuts[:, 2], cuts[:, 3], cuts[:, 4] = fwd_hi, rev_lo, gain_lo
     cuts.sort(axis=1)
     run_start, run_len = cuts[:, :5], np.diff(cuts, axis=1)
     run_key = ((run_start < below_a).view(np.uint8) * _BELOW_A
-               | (run_start >= fwd_lo[:, None]).view(np.uint8) * _FWD
+               | (run_start >= fwd_hi[:, None]).view(np.uint8) * _FWD
                | (run_start < rev_lo[:, None]).view(np.uint8) * _REV
                | (run_start < gain_lo[:, None]).view(np.uint8) * _GAIN)
 
@@ -405,26 +405,27 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         key_rows[lo:hi] = np.repeat(run_key[lo:hi], run_len[lo:hi].ravel()).reshape(-1, m)
-        # open rows: the float comparisons of classify_point, cell by cell
-        rows = lo + np.flatnonzero(~settled[lo:hi])
-        if rows.size:
-            fwd = sx[rows, 0, None] <= sy_eps[:, 0]
-            rev = sy[:, 0] <= sx_eps[rows, 0, None]
-            for k in (1, 2):
-                fwd &= sx[rows, k, None] <= sy_eps[:, k]
-                rev &= sy[:, k] <= sx_eps[rows, k, None]
-            gain = (pv < pv_eps[rows, None]) & (hv[rows, None] < hv_eps)
-            key = fwd.view(np.uint8)  # _FWD is bit 0: a True byte is that bit
-            for bit, mask in ((_REV, rev), (_GAIN, gain), (_BELOW_A, pv < a - eps)):
-                key |= mask.view(np.uint8) * bit
-            key_rows[rows] = key
-            del fwd, rev, gain, key  # free the masks before the next chunk
         width = jhi[lo:hi] - jlo[lo:hi]
         start = np.cumsum(width) - width  # where each row's candidates begin
         ci = np.repeat(np.arange(lo, hi), width)  # candidate cells (ci, cj)
         cj = jlo[ci] + np.arange(ci.size) - start[ci - lo]
         equal = (np.abs(x4[ci] - y4[cj]) <= eps).all(axis=1)
         key_rows[ci[equal], cj[equal]] |= _EQUAL
+    # classify_point's float comparison op(row value, column value) on each
+    # rectangle of up to chunk open rows, masked to each row's bracket
+    for bit, b_lo, b_hi, op, row_vals, col_vals in (
+            (_FWD, fwd_lo, fwd_hi, np.less_equal, sx, sy_eps),
+            (_REV, rev_lo, rev_hi, np.greater_equal, sx_eps, sy),
+            (_GAIN, gain_lo, gain_hi, np.less, hv[:, None], hv_eps[:, None])):
+        opened = np.flatnonzero(b_lo < b_hi)
+        for r0 in range(0, opened.size, chunk):
+            rows = opened[r0:r0 + chunk]
+            j0, j1 = b_lo[rows].min(), b_hi[rows].max()
+            j = np.arange(j0, j1)
+            hold = (b_lo[rows, None] <= j) & (j < b_hi[rows, None])
+            for k in range(row_vals.shape[1]):
+                hold &= op(row_vals[rows, k, None], col_vals[j0:j1, k])
+            key_rows[rows, j0:j1] |= hold.view(np.uint8) * bit
     # the swap bit: rows with p within eps of b, columns with q within eps of a
     for i in np.flatnonzero(np.abs(pv - b) <= eps):
         key_rows[i] |= (np.abs(pv - a) <= eps).view(np.uint8) * _SWAP

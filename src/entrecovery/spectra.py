@@ -182,19 +182,17 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
 
     Raises
     ------
-    InvalidTypeError (a weight that is not a real number, or is a bool, str,
-    bytes or bytearray, or a tol that is not a Tolerance), EmptyInputError,
-    NonFiniteWeightError, NegativeWeightError, NotNormalizedError
+    InvalidTypeError (a weight that is not a real number or is a bool, or a
+    tol that is not a Tolerance), EmptyInputError, NonFiniteWeightError,
+    NegativeWeightError, NotNormalizedError
     """
     require_tolerance(tol)
     vals = []
     for w in raw:
         try:
+            if type(w) is not float:
+                require_real("weight", w)
             v = float(w)
-            # float() accepts these too; the exact-float test keeps the common
-            # case off the slower isinstance check
-            if type(w) is not float and isinstance(w, (bool, str, bytes, bytearray)):
-                raise TypeError(f"{type(w).__name__} is not a float")
         except (TypeError, ValueError) as exc:
             raise InvalidTypeError(f"weight {w!r} is not a real number") from exc
         if not math.isfinite(v):

@@ -1,8 +1,15 @@
 """Shared construction helpers for the test suite."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 from entrecovery import RecoveryProblem, SchmidtSpectrum, make_spectrum
+
+_SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "equivalence_sweep.py"
+_spec = importlib.util.spec_from_file_location("equivalence_sweep", _SWEEP)
+_equivalence_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_equivalence_sweep)
 
 
 def random_simplex(rng: random.Random, dim: int) -> SchmidtSpectrum:
@@ -92,22 +99,6 @@ def sample_outer_point(rng, prob, region, margin=1e-6):
 
 def sample_equivalence_tuple(rng, margin=1e-6):
     """Random (a, b, p, q) with every feasibility decision line at distance
-    >= margin, so strict-vs-nonstrict eps choices cannot flip any verdict."""
-    while True:
-        a = rng.uniform(0.5, 1.0 - margin)
-        b = rng.uniform(0.5, 1.0 - margin)
-        if b < a:
-            a, b = b, a
-        if b - a < margin:
-            continue
-        p = rng.uniform(0.5, 1.0)
-        q = rng.uniform(0.5, 1.0)
-        if abs(p - q) < margin:
-            continue
-        if abs(a * p - b * q) < margin:
-            continue
-        if abs((1.0 - b) * (1.0 - q) - (1.0 - a) * (1.0 - p)) < margin:
-            continue
-        if abs(p - b) < margin or abs(q - b) < margin:
-            continue
-        return a, b, p, q
+    >= margin, so strict-vs-nonstrict eps choices cannot flip any verdict.
+    One sampler with scripts/equivalence_sweep.py, which defines it."""
+    return _equivalence_sweep.sample_tuple(rng, margin)

@@ -1,7 +1,9 @@
+import math
 import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -309,6 +311,8 @@ def test_region_grid_axis_values():
     g = region_grid(RecoveryProblem(0.7, 0.8), 4)
     assert [g.p_value(i) for i in range(5)] == [0.5, 0.625, 0.75, 0.875, 1.0]
     assert g.q_value(3) == 0.875
+    # a numpy integer is an index too, and gives a plain float
+    assert type(g.p_value(np.int64(1))) is float and g.q_value(np.int32(3)) == 0.875
 
 
 def test_region_grid_resolution_limits():
@@ -340,6 +344,20 @@ def test_region_grid_indices_are_checked():
             g.class_at(0, k)
         with pytest.raises(IndexError):
             g.class_at(k, 0)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "1", None])
+@pytest.mark.parametrize(
+    "access",
+    [lambda g, k: g.p_value(k), lambda g, k: g.q_value(k),
+     lambda g, k: g.class_at(k, 1), lambda g, k: g.class_at(1, k)],
+    ids=["p_value", "q_value", "class_at-i", "class_at-j"],
+)
+def test_region_grid_indices_take_the_resolution_type_check(access, bad):
+    # the same integer check as n: a bool or float is no index, not even 2.0
+    g = region_grid(RecoveryProblem(0.7, 0.8), 4)
+    with pytest.raises(InvalidTypeError, match=f"got {re.escape(repr(bad))}$"):
+        access(g, bad)
 
 
 def _assert_grid_matches_scalar_classifier(prob, n):
@@ -421,8 +439,8 @@ def test_region_grid_chunk_seam_matches_scalar_classifier():
 # b - a is one eps and a few ulps, so a + eps lies within rounding of b: the
 # second prefix sum of the target, flat at b for q <= b, jitters by ulps
 # around the threshold of reverse majorization, and the kernel's bracket of
-# that threshold stays open on every row with p < a, which then takes the
-# dense cell-by-cell comparison
+# that threshold stays open on every row with p < a, whose bracket columns
+# then take the cell-by-cell float comparison
 OPEN_BRACKETS = RecoveryProblem(
     0.9440145989529203, 0.9440145989529222, Tolerance(1.7488832477578608e-15)
 )
@@ -434,13 +452,43 @@ def test_region_grid_open_brackets_match_scalar_classifier():
 
 def test_region_grid_open_rows_across_chunk_seam_match_scalar_classifier():
     # at n = 1500 the chunks hold 1332 rows, and rows 0..1332 (p < a) are
-    # open: rows 1330, 1331 | 1332 straddle the seam, and 1333 is settled
+    # open: rows 1330, 1331 | 1332 straddle the seam, and 1333 is closed
     n = 1500
     g = region_grid(OPEN_BRACKETS, n)
     for i in (1330, 1331, 1332, 1333):
         p = g.p_value(i)
         for j in range(n + 1):
             assert g.class_at(i, j) is classify_point(OPEN_BRACKETS, p, g.q_value(j)), (i, j)
+
+
+def test_region_grid_ulp_gap_family_matches_scalar_classifier():
+    # b - a is eps plus 0-3 ulps, as in OPEN_BRACKETS; about one grid in
+    # twenty opens a rev bracket, and each is checked cell by cell
+    rng = random.Random(31)
+    for _ in range(200):
+        eps = 10 ** rng.uniform(-15, -3)
+        a = rng.uniform(0.5, 1.0 - 2 * eps)
+        b = a + eps
+        for _ in range(rng.randint(0, 3)):
+            b = math.nextafter(b, 2.0)
+        if a < b - eps:  # RecoveryProblem's own test of a < b
+            _assert_grid_matches_scalar_classifier(
+                RecoveryProblem(a, b, Tolerance(eps)), rng.randint(2, 20)
+            )
+
+
+# b + eps lies within rounding of p_8 = 0.9 at n = 10: on that row the first
+# two target weights sum to b + eps give or take an ulp as q varies, so the
+# second prefix test of forward majorization, p <= b + eps, holds or fails
+# column by column, and the kernel's bracket of that threshold stays open
+OPEN_FORWARD_BRACKET = RecoveryProblem(0.6, 0.8999, Tolerance(1e-4))
+
+
+def test_region_grid_open_forward_bracket_matches_scalar_classifier():
+    g = _assert_grid_matches_scalar_classifier(OPEN_FORWARD_BRACKET, 10)
+    assert [g.class_at(8, j).value for j in range(2, 8)] == [
+        "infeasible", "trivial", "incomparable", "incomparable", "trivial", "incomparable",
+    ]
 
 
 def test_region_grid_several_complete_cells():

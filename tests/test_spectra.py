@@ -1,8 +1,10 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,7 +73,9 @@ def test_make_spectrum_rejects_non_finite(bad):
     [(["x", 0.5], "'x'"), ([None, 1.0], "None"), ([1 + 0j], "(1+0j)"),
      # float() would accept these, but they are not float weights
      ([True], "True"), (["0.5", 0.5], "'0.5'"), ([b"0.5", 0.5], "b'0.5'"),
-     ([bytearray(b"0.5"), 0.5], "bytearray(b'0.5')")],
+     ([bytearray(b"0.5"), 0.5], "bytearray(b'0.5')"),
+     # neither is a numbers.Real, and classify_point rejects both
+     ([np.True_], repr(np.True_)), ([Decimal("0.5"), 0.5], "Decimal('0.5')")],
 )
 def test_make_spectrum_rejects_non_numeric(raw, shown):
     with pytest.raises(InputDomainError, match=re.escape(shown)) as info:
