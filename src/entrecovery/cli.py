@@ -128,15 +128,12 @@ def write_region_csv(grid: RegionGrid, fh) -> None:
     """Emit the grid as `p,q,class` rows, one write per grid row, deterministically."""
     import numpy as np
 
+    coords = [f"{grid.p_value(i)!r}," for i in range(grid.n + 1)]
+    table = np.array([[c + f"{cls.value}\n" for c in coords] for cls in RegionClass],
+                     dtype=object)
     cols = np.arange(grid.n + 1)
-    table = np.array(
-        [[f"{grid.q_value(j)!r},{cls.value}\n" for j in range(grid.n + 1)]
-         for cls in RegionClass],
-        dtype=object,
-    )
     fh.write("p,q,class\n")
-    for i, row in enumerate(grid.codes):
-        prefix = f"{grid.p_value(i)!r},"
+    for prefix, row in zip(coords, grid.codes):
         fh.write(prefix + prefix.join(table[row, cols].tolist()))
 
 

@@ -319,9 +319,10 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     operations as the scalar code, and the pair entropies by the scalar code
     itself.  Along a grid row every predicate is one interval of columns,
     cut by the boundary lines of the region: fwd is a suffix, rev, gain and
-    q < a are prefixes.  Each cut is bracketed by one searchsorted on the
-    running maximum and one on the running minimum of its column array,
-    which is exact even where rounding makes that array non-monotone.  Each
+    q < a are prefixes.  The gain cut is one searchsorted, as grid entropies
+    fall by at least 1/(2 ln 2 n^2) >= 7.2e-9 a step; only the six
+    prefix-sum cuts, which rounding can make non-monotone, are bracketed, by
+    searchsorted on the running maximum and minimum of their columns.  Each
     row is written as at most five runs of equal keys; only the columns of a
     bracket that stays open get the float comparisons of the scalar code,
     and the equal-spectra test only each row's thin window of candidate
@@ -363,21 +364,21 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     # at b for q <= b), so each threshold is bracketed: the test holds for
     # j < lo, where the running maximum of col passes it, and fails for
     # j >= hi, where the running minimum of col[j:] fails it.
-    cols = np.concatenate([sy_eps.T, sy.T, -hv_eps[None]])
-    vals = np.concatenate([sx.T, sx_eps.T, -hv[None]])
+    cols = np.concatenate([sy_eps.T, sy.T])
+    vals = np.concatenate([sx.T, sx_eps.T])
     up = np.maximum.accumulate(cols, axis=1)
     down = np.minimum.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
-    t_lo, t_hi = np.empty((2, 7, m), dtype=np.intp)
-    for k, side in enumerate(("left",) * 3 + ("right",) * 3 + ("left",)):
+    t_lo, t_hi = np.empty((2, 6, m), dtype=np.intp)
+    for k, side in enumerate(("left",) * 3 + ("right",) * 3):
         t_lo[k] = up[k].searchsorted(vals[k], side)
         t_hi[k] = down[k].searchsorted(vals[k], side)
-    # fwd fails for j < fwd_lo and holds from fwd_hi on; rev and gain hold
-    # for j < *_lo and fail from *_hi on; q_j < p_i - eps needs no bracket,
-    # as pv is exactly monotone, and holds for every j < gain_hi
+    # fwd fails for j < fwd_lo and holds from fwd_hi on; rev holds for
+    # j < rev_lo and fails from rev_hi on; the gain holds for j < gain_lo, as
+    # -hv_eps rises by >= 1/(2 ln 2 n^2) >= 7.2e-9 a column, far above
+    # rounding, and pv is exactly monotone
     fwd_lo, fwd_hi = t_lo[:3].max(axis=0), t_hi[:3].max(axis=0)
-    rev_lo, rev_hi = t_lo[3:6].min(axis=0), t_hi[3:6].min(axis=0)
-    below_p = pv.searchsorted(pv_eps)
-    gain_lo, gain_hi = np.minimum(t_lo[6], below_p), np.minimum(t_hi[6], below_p)
+    rev_lo, rev_hi = t_lo[3:].min(axis=0), t_hi[3:].min(axis=0)
+    gain_lo = np.minimum((-hv_eps).searchsorted(-hv), pv.searchsorted(pv_eps))
 
     # Each row is at most five runs of equal keys, cut where a predicate
     # changes; below_a (q < a) is a column prefix.  A predicate's bit starts
@@ -415,8 +416,7 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     # rectangle of up to chunk open rows, masked to each row's bracket
     for bit, b_lo, b_hi, op, row_vals, col_vals in (
             (_FWD, fwd_lo, fwd_hi, np.less_equal, sx, sy_eps),
-            (_REV, rev_lo, rev_hi, np.greater_equal, sx_eps, sy),
-            (_GAIN, gain_lo, gain_hi, np.less, hv[:, None], hv_eps[:, None])):
+            (_REV, rev_lo, rev_hi, np.greater_equal, sx_eps, sy)):
         opened = np.flatnonzero(b_lo < b_hi)
         for r0 in range(0, opened.size, chunk):
             rows = opened[r0:r0 + chunk]

@@ -183,8 +183,8 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
     Raises
     ------
     InvalidTypeError (a weight that is not a real number or is a bool, or a
-    tol that is not a Tolerance), EmptyInputError, NonFiniteWeightError,
-    NegativeWeightError, NotNormalizedError
+    tol that is not a Tolerance), EmptyInputError, NonFiniteWeightError (NaN,
+    infinite or beyond the float range), NegativeWeightError, NotNormalizedError
     """
     require_tolerance(tol)
     vals = []
@@ -195,6 +195,8 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
             v = float(w)
         except (TypeError, ValueError) as exc:
             raise InvalidTypeError(f"weight {w!r} is not a real number") from exc
+        except OverflowError as exc:
+            raise NonFiniteWeightError("weight beyond the float range") from exc
         if not math.isfinite(v):
             raise NonFiniteWeightError(f"non-finite weight {v}")
         if v < -tol.eps:

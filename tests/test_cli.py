@@ -95,6 +95,13 @@ def test_transform_input_errors(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "transform", "--source", "0.7,0.2", "--target", "0.8,0.2")
     assert code == 2 and "error:" in err  # not normalized
+    code, _, err = run(capsys, "transform", "--source", ",", "--target", "0.8,0.2")
+    assert code == 2 and err == "error: cannot parse spectrum ','\n"  # no weight
+    code, _, err = run(capsys, "transform", "--source", "0.7,0.3", "--target", "0.8,0.2",
+                       "--b", "0.8")
+    assert code == 2 and err == "error: give exactly one of --target or --b\n"
+    code, _, err = run(capsys, "transform", "--source", "0.7,0.3")
+    assert code == 2 and err == "error: give exactly one of --target or --b\n"
 
 
 def test_transform_unsorted_input_canonicalized(capsys):
@@ -207,13 +214,20 @@ def test_region_determinism_quick(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_region_domain_errors(capsys):
+def test_region_domain_errors(tmp_path, capsys):
     code, _, err = run(capsys, "region", "--a", "0.7", "--b", "0.8", "--n", "0")
     assert code == 2
     code, _, err = run(capsys, "region", "--a", "0.7", "--b", "0.8", "--n", "10001")
     assert code == 2 and "exceeds" in err
     code, _, err = run(capsys, "region", "--a", "0.8", "--b", "0.7", "--n", "5")
     assert code == 2
+    # an --out in a missing directory, and one naming a directory
+    for out in (tmp_path / "missing" / "grid.csv", tmp_path):
+        code, stdout, err = run(capsys, "region", "--a", "0.7", "--b", "0.8", "--n", "3",
+                                "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_region_csv_matches_library_writer(tmp_path, capsys):

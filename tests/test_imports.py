@@ -3,6 +3,7 @@ with `ast`."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -103,3 +104,19 @@ def test_no_dataclasses_import_in_the_package():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+def test_benchmark_traced_layers_resolve():
+    # perfbench/spans.py traces these functions by name; renaming or removing
+    # one would leave the benchmark without that layer
+    spans_py = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_py)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert len(spans.LAYERS) == 14
+    for name in spans.LAYERS:
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"entrecovery.{module}")
+        for part in path:
+            obj = getattr(obj, part)
+        assert callable(obj), name

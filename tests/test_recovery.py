@@ -31,6 +31,7 @@ from entrecovery import (
     tensor,
     two_qubit,
 )
+from entrecovery.recovery import MAX_GRID_N
 from conftest import (
     sample_equivalence_tuple,
     sample_feasible_point,
@@ -412,6 +413,40 @@ def test_region_grid_matches_scalar_classifier_at_wide_eps():
         _assert_grid_matches_scalar_classifier(
             RecoveryProblem(a, b, Tolerance(eps)), rng.randint(1, 64)
         )
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 1000, MAX_GRID_N])
+def test_grid_pair_entropies_fall_by_far_more_than_rounding(n):
+    # region_grid cuts the gain with one searchsorted on hv - eps, which is
+    # exact only while hv falls strictly between neighbours; the smallest
+    # fall, next to p = 1/2, is about 1/(2 ln 2 n^2) (7.2e-9 at MAX_GRID_N)
+    axis = (0.5 + np.arange(n + 1) / (2 * n)).tolist()  # region_grid's p and q values
+    hv = np.array([entropy((v, 1.0 - v)) for v in axis])
+    assert -np.diff(hv).min() >= 0.999 / (2 * math.log(2) * n * n)
+    for eps in (1e-15, 1e-12, 9.99e-4):
+        assert (np.diff(hv - eps) < 0).all()
+
+
+def test_region_grid_gain_cut_edges_at_wide_eps():
+    # the gain is q < p - eps with H(p) < H(q) - eps.  The entropy term first
+    # leaves a gain on row i0, where 1 - H(p) passes eps; the cap q < p - eps
+    # bites on rows with 2/3 < p <= b once the grid step 1/(2n) is below eps.
+    # With eps in [2e-4, 1e-3) and n from 64 to 1500 the step falls on both
+    # sides of eps; the four rows from i0 - 1 and the four up to p = b are
+    # checked cell by cell (the bottom rows hold no gain at these eps)
+    rng = random.Random(47)
+    for _ in range(16):
+        eps = rng.uniform(2e-4, 1e-3)
+        a = rng.uniform(0.5, 0.9)
+        b = rng.uniform(a + 2 * eps, 1.0)
+        prob, n = RecoveryProblem(a, b, Tolerance(eps)), rng.randint(64, 1500)
+        g = region_grid(prob, n)
+        i0 = int(2 * n * math.sqrt(eps * math.log(2) / 2))
+        ib = max(3, int((b - 0.5) * 2 * n))
+        for i in [*range(i0 - 1, i0 + 3), *range(ib - 3, ib + 1)]:
+            p = g.p_value(i)
+            for j in range(n + 1):
+                assert g.class_at(i, j) is classify_point(prob, p, g.q_value(j)), (n, i, j)
 
 
 def test_region_class_order_is_code_order():

@@ -19,6 +19,7 @@ from entrecovery import (
     OutOfRangeError,
     SchmidtSpectrum,
     Tolerance,
+    TwoQubitPair,
     can_concentrate_bell,
     can_transform,
     compare,
@@ -61,11 +62,21 @@ def test_make_spectrum_rejects_unnormalized():
         make_spectrum([0.5, 0.4])
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_make_spectrum_rejects_non_finite(bad):
+@pytest.mark.parametrize(
+    "raw",
+    [pytest.param([math.nan, 0.3], id="nan"), pytest.param([math.inf, 0.3], id="inf"),
+     pytest.param([-math.inf, 0.3], id="-inf"),
+     # reals beyond the float range, on which float() overflows
+     pytest.param([10**400], id="int-1e400"),
+     pytest.param([Fraction(10**400)], id="Fraction-1e400"),
+     pytest.param([-10**400, 1.0], id="int-minus-1e400")],
+)
+def test_make_spectrum_rejects_non_finite(raw):
     # NaN compares false against every bound, so it needs its own check
-    with pytest.raises(NonFiniteWeightError):
-        make_spectrum([bad, 0.3])
+    with pytest.raises(NonFiniteWeightError) as info:
+        make_spectrum(raw)
+    if type(raw[0]) is not float:
+        assert isinstance(info.value.__cause__, OverflowError)
 
 
 @pytest.mark.parametrize(
@@ -112,6 +123,11 @@ def test_two_qubit_rejects_out_of_range():
         two_qubit(1.2)
     with pytest.raises(OutOfRangeError):
         two_qubit(-0.1)
+    # the class itself takes only the canonical range [1/2, 1]
+    with pytest.raises(OutOfRangeError):
+        TwoQubitPair(0.4)
+    with pytest.raises(OutOfRangeError):
+        TwoQubitPair(1.5)
 
 
 def test_two_qubit_spectrum_view():
