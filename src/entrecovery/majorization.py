@@ -39,14 +39,18 @@ def is_majorized_by(
     Spectra of unequal length are zero-padded to the longer length.  Each
     prefix comparison is non-strict within eps.
     """
-    require_tolerance(tol)
-    xv, yv = _padded(x, y)
+    if type(tol) is not Tolerance:
+        require_tolerance(tol)
+    xv, yv = x.values, y.values
+    if len(xv) != len(yv):
+        xv, yv = _padded(x, y)
+    eps = tol.eps
     sx = 0.0
     sy = 0.0
     for k in range(len(xv) - 1):
         sx += xv[k]
         sy += yv[k]
-        if not tol.leq(sx, sy):
+        if not sx <= sy + eps:  # tol.leq(sx, sy)
             return False
     return True
 
@@ -61,13 +65,31 @@ def compare(
     without elementwise coincidence are a tolerance-width sliver; they are
     reported as Equal so the classification stays total.
     """
-    require_tolerance(tol)
-    xv, yv = _padded(x, y)
-    if all(tol.close(u, v) for u, v in zip(xv, yv)):
-        return Comparability.EQUAL
-    fwd = is_majorized_by(x, y, tol)
-    rev = is_majorized_by(y, x, tol)
-    if fwd and rev:
+    if type(tol) is not Tolerance:
+        require_tolerance(tol)
+    xv, yv = x.values, y.values
+    if len(xv) != len(yv):
+        xv, yv = _padded(x, y)
+    # one pass: elementwise closeness and is_majorized_by in both directions
+    # from the same running sums, which skip the last entry as it does
+    eps = tol.eps
+    equal = fwd = rev = True
+    sx = sy = 0.0
+    for k in range(len(xv) - 1):
+        u, v = xv[k], yv[k]
+        if not abs(u - v) <= eps:  # tol.close(u, v)
+            equal = False
+        sx += u
+        sy += v
+        if not sx <= sy + eps:  # tol.leq(sx, sy)
+            fwd = False
+        if not sy <= sx + eps:
+            rev = False
+        if not (equal or fwd or rev):
+            return Comparability.INCOMPARABLE
+    if equal and xv and not abs(xv[-1] - yv[-1]) <= eps:
+        equal = False
+    if equal or (fwd and rev):
         return Comparability.EQUAL
     if fwd:
         return Comparability.LEFT_MAJORIZED

@@ -185,7 +185,10 @@ def product_spectra(
     """Joint spectra (source x auxiliary-before, target x auxiliary-after)."""
     if type(prob) is not RecoveryProblem:
         _require_problem(prob)
-    _require_unit_range(prob.tol, p=p, q=q)
+    eps = prob.tol.eps  # the range gate's tol.geq(v, 0.5) and tol.leq(v, 1.0)
+    if not (type(p) is float and type(q) is float
+            and 0.5 - eps <= p <= 1.0 + eps and 0.5 - eps <= q <= 1.0 + eps):
+        _require_unit_range(prob.tol, p=p, q=q)
     x = SchmidtSpectrum(tuple(_sorted_products(prob.a, p)))
     y = SchmidtSpectrum(tuple(_sorted_products(prob.b, q)))
     return x, y
@@ -239,14 +242,20 @@ def classify_point(prob: RecoveryProblem, p: float, q: float) -> RegionClass:
     never enters; see is_feasible_closed_form.
     """
     x, y = product_spectra(prob, p, q)  # checks prob, p and q
-    t = prob.tol
+    a, b, eps = prob.a, prob.b, prob.tol.eps
+    x0, x1, x2, x3 = x.values
+    y0, y1, y2, y3 = y.values
+    # the Tolerance expressions inline: close, lt and, for rev, leq on the
+    # prefix sums, added left to right as is_majorized_by adds them
+    sx1, sy1 = x0 + x1, y0 + y1
     return _ladder(
-        swap=t.close(p, prob.b) and t.close(q, prob.a),
-        gain=t.lt(q, p) and t.lt(_pair_entropy(p), _pair_entropy(q)),
-        below_a=t.lt(q, prob.a),
-        equal=all(t.close(u, v) for u, v in zip(x.values, y.values)),
-        rev=is_majorized_by(y, x, t),
-        fwd=is_majorized_by(x, y, t),
+        swap=abs(p - b) <= eps and abs(q - a) <= eps,
+        gain=q < p - eps and _pair_entropy(p) < _pair_entropy(q) - eps,
+        below_a=q < a - eps,
+        equal=(abs(x0 - y0) <= eps and abs(x1 - y1) <= eps
+               and abs(x2 - y2) <= eps and abs(x3 - y3) <= eps),
+        rev=y0 <= x0 + eps and sy1 <= sx1 + eps and sy1 + y2 <= sx1 + x2 + eps,
+        fwd=is_majorized_by(x, y, prob.tol),
     )
 
 

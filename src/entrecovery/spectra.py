@@ -75,9 +75,11 @@ class FrozenValue:
 class Tolerance(FrozenValue):
     """Absolute comparison tolerance used by every predicate in the package.
 
-    All strict and non-strict comparisons route through the methods below so
-    boundary semantics stay uniform: "non-strict within eps" means leq/geq,
-    "strict beyond eps" means lt/gt.
+    The methods below fix the boundary semantics: "non-strict within eps"
+    means leq/geq, "strict beyond eps" means lt/gt.  The scalar hot paths
+    (make_spectrum, is_majorized_by, compare, product_spectra, classify_point)
+    and region_grid write the same expressions inline on eps, e.g.
+    `x <= y + eps` for leq and `abs(x - y) <= eps` for close.
     """
 
     __slots__ = __match_args__ = ("eps",)
@@ -186,30 +188,36 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
     tol that is not a Tolerance), EmptyInputError, NonFiniteWeightError (NaN,
     infinite or beyond the float range), NegativeWeightError, NotNormalizedError
     """
-    require_tolerance(tol)
+    if type(tol) is not Tolerance:
+        require_tolerance(tol)
+    eps = tol.eps
     vals = []
+    clamp = False  # set by a weight outside (0, 1]; -0.0 must become 0.0
     for w in raw:
-        try:
-            if type(w) is not float:
-                require_real("weight", w)
-            v = float(w)
-        except (TypeError, ValueError) as exc:
-            raise InvalidTypeError(f"weight {w!r} is not a real number") from exc
-        except OverflowError as exc:
-            raise NonFiniteWeightError("weight beyond the float range") from exc
-        if not math.isfinite(v):
-            raise NonFiniteWeightError(f"non-finite weight {v}")
-        if v < -tol.eps:
-            raise NegativeWeightError(f"negative weight {v}")
+        if type(w) is float:
+            v = w
+        else:
+            require_real("weight", w)
+            try:
+                v = float(w)
+            except OverflowError as exc:
+                raise NonFiniteWeightError("weight beyond the float range") from exc
+        if not 0.0 < v <= 1.0:
+            if not math.isfinite(v):
+                raise NonFiniteWeightError(f"non-finite weight {v}")
+            if v < -eps:
+                raise NegativeWeightError(f"negative weight {v}")
+            clamp = True
         vals.append(v)
     if not vals:
         raise EmptyInputError("spectrum needs at least one weight")
     total = sum(vals)
-    if abs(total - 1.0) > tol.eps:
+    if abs(total - 1.0) > eps:
         raise NotNormalizedError(f"weights sum to {total}, expected 1")
-    clamped = [min(1.0, max(0.0, v)) for v in vals]
-    clamped.sort(reverse=True)
-    return SchmidtSpectrum(tuple(clamped))
+    if clamp:
+        vals = [min(1.0, max(0.0, v)) for v in vals]
+    vals.sort(reverse=True)
+    return SchmidtSpectrum(tuple(vals))
 
 
 def two_qubit(a_raw: float, tol: Tolerance = DEFAULT_TOL) -> TwoQubitPair:

@@ -106,13 +106,18 @@ def test_no_dataclasses_import_in_the_package():
     assert found == []
 
 
-def test_benchmark_traced_layers_resolve():
-    # perfbench/spans.py traces these functions by name; renaming or removing
-    # one would leave the benchmark without that layer
+def _benchmark_spans():
     spans_py = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", spans_py)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_traced_layers_resolve():
+    # perfbench/spans.py traces these functions by name; renaming or removing
+    # one would leave the benchmark without that layer
+    spans = _benchmark_spans()
     assert len(spans.LAYERS) == 14
     for name in spans.LAYERS:
         module, *path = name.split(".")
@@ -120,3 +125,15 @@ def test_benchmark_traced_layers_resolve():
         for part in path:
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_classify_point_keeps_the_traced_call_structure():
+    # the benchmark's own tests pin these counts for one classify_point call;
+    # they run outside this suite, so an inlined classify_point is caught here
+    tracer = _benchmark_spans().Tracer()
+    recovery = importlib.import_module("entrecovery.recovery")
+    with tracer.installed():
+        recovery.classify_point(recovery.RecoveryProblem(0.7, 0.8), 0.6, 0.55)
+    assert tracer.stats["recovery.classify_point"][0] == 1
+    assert tracer.stats["recovery.product_spectra"][0] == 1
+    assert tracer.stats["majorization.is_majorized_by"][0] >= 1
