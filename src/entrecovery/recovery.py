@@ -22,7 +22,9 @@ point (p, q) = (b, a) swaps the roles of the two pairs completely.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+import math
 import operator
 from typing import TYPE_CHECKING
 
@@ -38,7 +40,6 @@ from .spectra import (
     FrozenValue,
     SchmidtSpectrum,
     Tolerance,
-    entropy,
     require_tolerance,
 )
 
@@ -176,7 +177,22 @@ def _sorted_products(c: float, v: float) -> list[float]:
 
 
 def _pair_entropy(v: float) -> float:
-    return entropy((v, 1.0 - v))
+    # entropy((v, 1 - v)) bit for bit for v > 0: rounding is sign-symmetric,
+    # so -(t1 + t2) == (0 - t1) - t2, and entropy skips a weight 1 - v <= 0
+    w = 1.0 - v
+    if w <= 0.0:
+        return 0.0 - v * math.log2(v)
+    return -(v * math.log2(v) + w * math.log2(w))
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_axis(n: int) -> np.ndarray:
+    # read-only rows pv, 1 - pv and pair entropies, shared by the grids at n
+    import numpy as np
+    pv = 0.5 + np.arange(n + 1) / (2 * n)  # i / (2n) is correctly rounded either way
+    axis = np.stack((pv, 1.0 - pv, [_pair_entropy(v) for v in pv.tolist()]))
+    axis.flags.writeable = False
+    return axis
 
 
 def product_spectra(
@@ -325,22 +341,23 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     Internally vectorized, but cell-for-cell identical to calling
     classify_point on each (p_i, q_j): the axis values, sorted product
     spectra and prefix sums are computed in numpy with the same IEEE
-    operations as the scalar code, and the pair entropies by the scalar code
-    itself.  Along a grid row every predicate is one interval of columns,
-    cut by the boundary lines of the region: fwd is a suffix, rev, gain and
-    q < a are prefixes.  The gain cut is one searchsorted, as grid entropies
-    fall by at least 1/(2 ln 2 n^2) >= 7.2e-9 a step; only the six
-    prefix-sum cuts, which rounding can make non-monotone, are bracketed, by
-    searchsorted on the running maximum and minimum of their columns.  Each
-    row is written as at most five runs of equal keys; only the columns of a
-    bracket that stays open get the float comparisons of the scalar code,
-    and the equal-spectra test only each row's thin window of candidate
-    columns.  The predicates of each cell are packed into one byte, which a
-    table built from _ladder maps to its class.  Deterministic for fixed
-    (a, b, n, eps).  Peak extra memory, for m = n + 1: the (m x m) keys and
-    codes, O(m) thresholds, and per chunk of rows the repeated runs, the
-    bool masks of one bracket rectangle (at most chunk x m cells) and index
-    arrays over the equal-spectra windows; no float array per cell.
+    operations as the scalar code, and the pair entropies, once per n, by
+    the scalar code itself.  Along a grid row every predicate is one
+    interval of columns, cut by the boundary lines of the region: fwd is a
+    suffix, rev, gain and q < a are prefixes.  The gain cut is one
+    searchsorted, as grid entropies fall by at least 1/(2 ln 2 n^2) >=
+    7.2e-9 a step; only the six prefix-sum cuts, which rounding can make
+    non-monotone, are bracketed, by searchsorted on the running maximum and
+    minimum of their columns.  A cell's predicates pack into one byte, its
+    key, which a table built from _ladder maps to its class.  A row is at
+    most five runs of equal keys, whose codes one np.repeat writes; only
+    rows with an equal-spectra cell, an open bracket or a swap cell get key
+    bytes, and float comparisons on their open bracket columns.
+    Deterministic for fixed (a, b, n, eps).  Peak extra memory, for
+    m = n + 1: the (m x m) codes, O(m) thresholds, and per chunk of rows the
+    keys of its patched rows, the bool masks of one bracket rectangle (at
+    most chunk x m cells) and index arrays over the equal-spectra windows;
+    no key plane and no float array per cell.
     """
     if type(prob) is not RecoveryProblem:
         _require_problem(prob)
@@ -353,8 +370,7 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     eps = prob.tol.eps
     a, b = prob.a, prob.b
     m = n + 1
-    pv = 0.5 + np.arange(m) / (2 * n)  # i / (2n) is correctly rounded either way
-    qv = 1.0 - pv
+    pv, qv, hv = _grid_axis(n)
     # _sorted_products row by row, source (c = a) and target (c = b) at once,
     # with the same IEEE operations
     c = np.array([[a], [b]])
@@ -363,7 +379,6 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     x4, y4 = xy4
     # sequential left-to-right sums, as in is_majorized_by
     sx, sy = np.cumsum(xy4[..., :3], axis=2)
-    hv = np.array([_pair_entropy(v) for v in pv.tolist()])
     sx_eps, sy_eps, hv_eps, pv_eps = sx + eps, sy + eps, hv - eps, pv - eps
 
     # Along row i each predicate is one interval of columns: fwd a suffix,
@@ -409,34 +424,48 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     # monotone rounding the 4*eps window keeps every such column.
     jlo = y4[:, 0].searchsorted(x4[:, 0] - 4 * eps)
     jhi = y4[:, 0].searchsorted(x4[:, 0] + 4 * eps, side="right")
-    keys = bytearray(m * m)
-    key_rows = np.frombuffer(keys, dtype=np.uint8).reshape(m, m)
+    # Every row gets its runs' codes.  Rows with an equal-spectra cell, an open
+    # bracket or a swap cell get keys: rebuilt from the runs, patched, translated
+    run_code = np.frombuffer(run_key.tobytes().translate(_LADDER_TABLE), dtype=np.uint8)
+    codes = np.repeat(run_code, run_len.ravel()).reshape(m, m)
+    swap_row = np.abs(pv - b) <= eps
+    patched = (fwd_lo < fwd_hi) | (rev_lo < rev_hi) | swap_row
     chunk = max(1, min(m, 2_000_000 // m))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        key_rows[lo:hi] = np.repeat(run_key[lo:hi], run_len[lo:hi].ravel()).reshape(-1, m)
         width = jhi[lo:hi] - jlo[lo:hi]
         start = np.cumsum(width) - width  # where each row's candidates begin
         ci = np.repeat(np.arange(lo, hi), width)  # candidate cells (ci, cj)
         cj = jlo[ci] + np.arange(ci.size) - start[ci - lo]
         equal = (np.abs(x4[ci] - y4[cj]) <= eps).all(axis=1)
-        key_rows[ci[equal], cj[equal]] |= _EQUAL
-    # classify_point's float comparison op(row value, column value) on each
-    # rectangle of up to chunk open rows, masked to each row's bracket
-    for bit, b_lo, b_hi, op, row_vals, col_vals in (
-            (_FWD, fwd_lo, fwd_hi, np.less_equal, sx, sy_eps),
-            (_REV, rev_lo, rev_hi, np.greater_equal, sx_eps, sy)):
-        opened = np.flatnonzero(b_lo < b_hi)
-        for r0 in range(0, opened.size, chunk):
-            rows = opened[r0:r0 + chunk]
-            j0, j1 = b_lo[rows].min(), b_hi[rows].max()
-            j = np.arange(j0, j1)
-            hold = (b_lo[rows, None] <= j) & (j < b_hi[rows, None])
-            for k in range(row_vals.shape[1]):
-                hold &= op(row_vals[rows, k, None], col_vals[j0:j1, k])
-            key_rows[rows, j0:j1] |= hold.view(np.uint8) * bit
-    # the swap bit: rows with p within eps of b, columns with q within eps of a
-    for i in np.flatnonzero(np.abs(pv - b) <= eps):
-        key_rows[i] |= (np.abs(pv - a) <= eps).view(np.uint8) * _SWAP
-    codes = np.frombuffer(keys.translate(_LADDER_TABLE), dtype=np.uint8).reshape(m, m)
+        ci, cj = ci[equal], cj[equal]
+        patched[ci] = True
+        rows = lo + np.flatnonzero(patched[lo:hi])
+        if not rows.size:
+            continue
+        buf = bytearray(np.repeat(run_key[rows], run_len[rows].ravel()))
+        keys = np.frombuffer(buf, dtype=np.uint8).reshape(-1, m)
+        keys[rows.searchsorted(ci), cj] |= _EQUAL
+        # classify_point's float comparison op(row value, column value) on
+        # the rectangle of the chunk's open rows, masked to each row's bracket
+        for bit, b_lo, b_hi, op, row_vals, col_vals in (
+                (_FWD, fwd_lo, fwd_hi, np.less_equal, sx, sy_eps),
+                (_REV, rev_lo, rev_hi, np.greater_equal, sx_eps, sy)):
+            at = np.flatnonzero(b_lo[rows] < b_hi[rows])
+            if at.size:
+                # closed rows between open ones have b_lo == b_hi: no column holds
+                span = slice(at[0], at[-1] + 1)
+                r = rows[span]
+                j0, j1 = b_lo[rows[at]].min(), b_hi[rows[at]].max()
+                j = np.arange(j0, j1)
+                hold = j < b_hi[r, None]
+                hold &= b_lo[r, None] <= j
+                for k in range(row_vals.shape[1]):
+                    hold &= op(row_vals[r, k, None], col_vals[j0:j1, k])
+                keys[span, j0:j1] |= hold.view(np.uint8) * bit
+                del hold  # a chunk x m mask: free it before the next one is built
+        # the swap bit: rows with p within eps of b, columns with q within eps of a
+        keys[swap_row[rows]] |= (np.abs(pv - a) <= eps).view(np.uint8) * _SWAP
+        codes[rows] = np.frombuffer(buf.translate(_LADDER_TABLE),
+                                    dtype=np.uint8).reshape(-1, m)
     return RegionGrid(a=a, b=b, n=n, codes=codes)

@@ -6,10 +6,19 @@ from pathlib import Path
 
 from entrecovery import RecoveryProblem, SchmidtSpectrum, make_spectrum
 
-_SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "equivalence_sweep.py"
-_spec = importlib.util.spec_from_file_location("equivalence_sweep", _SWEEP)
-_equivalence_sweep = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_equivalence_sweep)
+_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    """Import scripts/<name>.py as a module of that name."""
+    spec = importlib.util.spec_from_file_location(name, _SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_equivalence_sweep = load_script("equivalence_sweep")
+grid_equivalence = load_script("grid_equivalence")
 
 
 def random_simplex(rng: random.Random, dim: int) -> SchmidtSpectrum:

@@ -31,8 +31,9 @@ from entrecovery import (
     tensor,
     two_qubit,
 )
-from entrecovery.recovery import MAX_GRID_N
+from entrecovery.recovery import MAX_GRID_N, _grid_axis, _pair_entropy
 from conftest import (
+    grid_equivalence,
     sample_equivalence_tuple,
     sample_feasible_point,
     sample_outer_point,
@@ -363,11 +364,15 @@ def test_region_grid_indices_take_the_resolution_type_check(access, bad):
 
 def _assert_grid_matches_scalar_classifier(prob, n):
     g = region_grid(prob, n)
+    tally = dict.fromkeys(RegionClass, 0)
     for i in range(n + 1):
         p = 0.5 + i / (2 * n)
         for j in range(n + 1):
             q = 0.5 + j / (2 * n)
-            assert g.class_at(i, j) is classify_point(prob, p, q), (prob, n, i, j)
+            want = classify_point(prob, p, q)
+            assert g.class_at(i, j) is want, (prob, n, i, j)
+            tally[want] += 1
+    assert g.counts() == tally, (prob, n)
     return g
 
 
@@ -420,11 +425,80 @@ def test_grid_pair_entropies_fall_by_far_more_than_rounding(n):
     # region_grid cuts the gain with one searchsorted on hv - eps, which is
     # exact only while hv falls strictly between neighbours; the smallest
     # fall, next to p = 1/2, is about 1/(2 ln 2 n^2) (7.2e-9 at MAX_GRID_N)
-    axis = (0.5 + np.arange(n + 1) / (2 * n)).tolist()  # region_grid's p and q values
-    hv = np.array([entropy((v, 1.0 - v)) for v in axis])
+    _, _, hv = _grid_axis(n)  # the pair entropies region_grid reads
     assert -np.diff(hv).min() >= 0.999 / (2 * math.log(2) * n * n)
     for eps in (1e-15, 1e-12, 9.99e-4):
         assert (np.diff(hv - eps) < 0).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 1000, MAX_GRID_N])
+def test_pair_entropy_is_entropy_bit_for_bit_on_the_grid(n):
+    # float.hex tells apart values and the sign of zero
+    pv, _, hv = _grid_axis(n)
+    for v, h in zip(pv.tolist(), hv.tolist()):
+        assert _pair_entropy(v).hex() == entropy((v, 1.0 - v)).hex() == h.hex(), v
+
+
+def test_pair_entropy_is_entropy_bit_for_bit_across_the_range():
+    # the ends of [1/2 - eps, 1 + eps] and seeded draws a little beyond it;
+    # past 1, 1 - v is negative and entropy skips it
+    ends = [1.0] + [x for eps in (1e-15, 1e-12, 9.99e-4) for x in (0.5 - eps, 1.0 + eps)]
+    rng = random.Random(61)
+    draws = [rng.uniform(0.5 - 1e-3, 1.0 + 1e-3) for _ in range(100_000)]
+    assert _pair_entropy(1.0).hex() == "0x0.0p+0"
+    assert [v for v in ends + draws
+            if _pair_entropy(v).hex() != entropy((v, 1.0 - v)).hex()] == []
+
+
+def test_grid_axis_is_read_only_and_shared_at_one_resolution():
+    axis = _grid_axis(37)
+    assert _grid_axis(37) is axis
+    for arr in (axis, *axis):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    pv, qv, _ = axis
+    assert pv.tolist() == [0.5 + i / 74 for i in range(38)]
+    assert qv.tolist() == [1.0 - v for v in pv.tolist()]
+
+
+def test_region_grids_at_one_resolution_keep_their_own_codes():
+    prob = RecoveryProblem(0.7, 0.8)
+    g, h = region_grid(prob, 20), region_grid(prob, 20)
+    assert not np.shares_memory(g.codes, h.codes)
+    assert not np.shares_memory(g.codes, _grid_axis(20))
+    want = h.codes.copy()
+    g.codes[:] = 0
+    assert (h.codes == want).all()
+    assert (region_grid(prob, 20).codes == want).all()
+
+
+def test_counts_follow_a_write_to_codes():
+    # codes is writable, so counts() counts the codes as they are, not as the
+    # kernel wrote them; a code no class has is counted nowhere
+    g = region_grid(RecoveryProblem(0.7, 0.8), 20)
+    before = g.counts()
+    assert g.class_at(12, 8) is RegionClass.COMPLETE_RECOVERY
+    g.codes[12, 8] = list(RegionClass).index(RegionClass.INFEASIBLE_OTHER)
+    after = g.counts()
+    assert after[RegionClass.COMPLETE_RECOVERY] == before[RegionClass.COMPLETE_RECOVERY] - 1
+    assert after[RegionClass.INFEASIBLE_OTHER] == before[RegionClass.INFEASIBLE_OTHER] + 1
+    g.codes[0, 0] = len(RegionClass)
+    assert sum(g.counts().values()) == 21 * 21 - 1
+
+
+@pytest.mark.parametrize("low_a,high_b", [(True, False), (False, True), (True, True)],
+                         ids=["a-below-half", "b-above-one", "both"])
+def test_region_grid_edge_of_range_matches_scalar_classifier(low_a, high_b):
+    # RecoveryProblem admits a in [1/2 - eps, 1/2) and b in (1, 1 + eps], where
+    # the sorted order of the product spectra flips: a(1-p) against (1-a)p,
+    # and (1-b)q turns negative
+    rng = random.Random(67)
+    for _ in range(8):
+        a, b, eps = grid_equivalence.edge_of_range(rng, low_a, high_b)
+        _assert_grid_matches_scalar_classifier(
+            RecoveryProblem(a, b, Tolerance(eps)), rng.randint(1, 40)
+        )
 
 
 def test_region_grid_gain_cut_edges_at_wide_eps():
