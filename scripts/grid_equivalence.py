@@ -60,6 +60,25 @@ def edge_of_range(rng, low_a: bool, high_b: bool):
     return a, b, eps
 
 
+def ulp_gap(rng):
+    """Random (a, b, eps) with b - a equal to eps plus 0-3 ulps, or None
+    when rounding leaves a >= b - eps (RecoveryProblem's own test of a < b)."""
+    eps = 10 ** rng.uniform(-15, -3)
+    a = rng.uniform(0.5, 1.0 - 2 * eps)
+    b = a + eps
+    for _ in range(rng.randint(0, 3)):
+        b = math.nextafter(b, 2.0)
+    return (a, b, eps) if a < b - eps else None
+
+
+def wide_eps_equal(rng):
+    """Random (a, b, eps) with eps in [1e-4, 1e-3), a near 1/2 and b - a of
+    1.5 to 5 eps, which puts equal spectra on grid cells near the diagonal."""
+    eps = rng.uniform(1e-4, 9.99e-4)
+    a = rng.uniform(0.5 - eps / 2, 0.52)
+    return a, a + rng.uniform(1.5, 5.0) * eps, eps
+
+
 def families(seed: int):
     """Yield (family, a, b, eps, n) for every grid to compare."""
     rng = random.Random(seed)
@@ -68,22 +87,15 @@ def families(seed: int):
         b = rng.uniform(a + 0.002, 1.0)
         yield "random", a, b, 1e-12, rng.randint(1, 400)
     for _ in range(400):
-        eps = 10 ** rng.uniform(-15, -3)
-        a = rng.uniform(0.5, 1.0 - 2 * eps)
-        b = a + eps
-        for _ in range(rng.randint(0, 3)):
-            b = math.nextafter(b, 2.0)
-        if a < b - eps:  # RecoveryProblem's own test of a < b
-            yield "ulp-gap", a, b, eps, rng.randint(2, 200)
+        problem = ulp_gap(rng)
+        if problem:
+            yield "ulp-gap", *problem, rng.randint(2, 200)
     for n in (200, 1500, 2000, 3000):
         yield "open-brackets", *OPEN_BRACKETS, n
     for n in (10, 20, 100, 1000):
         yield "open-forward-bracket", *OPEN_FORWARD_BRACKET, n
     for _ in range(100):
-        eps = rng.uniform(1e-4, 9.99e-4)
-        a = rng.uniform(0.5 - eps / 2, 0.52)
-        b = a + rng.uniform(1.5, 5.0) * eps
-        yield "wide-eps-equal", a, b, eps, rng.randint(1, 400)
+        yield "wide-eps-equal", *wide_eps_equal(rng), rng.randint(1, 400)
     for n in (300, 600, 1200):
         yield "swap-block", *SWAP_BLOCK, n
     for _ in range(200):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import math
 import operator
 from typing import TYPE_CHECKING
 
@@ -40,6 +39,7 @@ from .spectra import (
     FrozenValue,
     SchmidtSpectrum,
     Tolerance,
+    entropy,
     require_tolerance,
 )
 
@@ -177,12 +177,7 @@ def _sorted_products(c: float, v: float) -> list[float]:
 
 
 def _pair_entropy(v: float) -> float:
-    # entropy((v, 1 - v)) bit for bit for v > 0: rounding is sign-symmetric,
-    # so -(t1 + t2) == (0 - t1) - t2, and entropy skips a weight 1 - v <= 0
-    w = 1.0 - v
-    if w <= 0.0:
-        return 0.0 - v * math.log2(v)
-    return -(v * math.log2(v) + w * math.log2(w))
+    return entropy((v, 1.0 - v))
 
 
 @functools.lru_cache(maxsize=4)

@@ -31,7 +31,7 @@ from entrecovery import (
     tensor,
     two_qubit,
 )
-from entrecovery.recovery import MAX_GRID_N, _grid_axis, _pair_entropy
+from entrecovery.recovery import MAX_GRID_N, _grid_axis
 from conftest import (
     grid_equivalence,
     sample_equivalence_tuple,
@@ -362,6 +362,10 @@ def test_region_grid_indices_take_the_resolution_type_check(access, bad):
         access(g, bad)
 
 
+def _problem(a, b, eps):
+    return RecoveryProblem(a, b, Tolerance(eps))
+
+
 def _assert_grid_matches_scalar_classifier(prob, n):
     g = region_grid(prob, n)
     tally = dict.fromkeys(RegionClass, 0)
@@ -412,11 +416,8 @@ def test_region_grid_matches_scalar_classifier_at_wide_eps():
     # near the diagonal, where the kernel's column window decides them
     rng = random.Random(23)
     for _ in range(16):
-        eps = rng.uniform(1e-4, 9.99e-4)
-        a = rng.uniform(0.5 - eps / 2, 0.52)
-        b = a + rng.uniform(1.5, 5.0) * eps
         _assert_grid_matches_scalar_classifier(
-            RecoveryProblem(a, b, Tolerance(eps)), rng.randint(1, 64)
+            _problem(*grid_equivalence.wide_eps_equal(rng)), rng.randint(1, 64)
         )
 
 
@@ -429,25 +430,6 @@ def test_grid_pair_entropies_fall_by_far_more_than_rounding(n):
     assert -np.diff(hv).min() >= 0.999 / (2 * math.log(2) * n * n)
     for eps in (1e-15, 1e-12, 9.99e-4):
         assert (np.diff(hv - eps) < 0).all()
-
-
-@pytest.mark.parametrize("n", [1, 2, 10, 1000, MAX_GRID_N])
-def test_pair_entropy_is_entropy_bit_for_bit_on_the_grid(n):
-    # float.hex tells apart values and the sign of zero
-    pv, _, hv = _grid_axis(n)
-    for v, h in zip(pv.tolist(), hv.tolist()):
-        assert _pair_entropy(v).hex() == entropy((v, 1.0 - v)).hex() == h.hex(), v
-
-
-def test_pair_entropy_is_entropy_bit_for_bit_across_the_range():
-    # the ends of [1/2 - eps, 1 + eps] and seeded draws a little beyond it;
-    # past 1, 1 - v is negative and entropy skips it
-    ends = [1.0] + [x for eps in (1e-15, 1e-12, 9.99e-4) for x in (0.5 - eps, 1.0 + eps)]
-    rng = random.Random(61)
-    draws = [rng.uniform(0.5 - 1e-3, 1.0 + 1e-3) for _ in range(100_000)]
-    assert _pair_entropy(1.0).hex() == "0x0.0p+0"
-    assert [v for v in ends + draws
-            if _pair_entropy(v).hex() != entropy((v, 1.0 - v)).hex()] == []
 
 
 def test_grid_axis_is_read_only_and_shared_at_one_resolution():
@@ -495,9 +477,8 @@ def test_region_grid_edge_of_range_matches_scalar_classifier(low_a, high_b):
     # and (1-b)q turns negative
     rng = random.Random(67)
     for _ in range(8):
-        a, b, eps = grid_equivalence.edge_of_range(rng, low_a, high_b)
         _assert_grid_matches_scalar_classifier(
-            RecoveryProblem(a, b, Tolerance(eps)), rng.randint(1, 40)
+            _problem(*grid_equivalence.edge_of_range(rng, low_a, high_b)), rng.randint(1, 40)
         )
 
 
@@ -550,9 +531,7 @@ def test_region_grid_chunk_seam_matches_scalar_classifier():
 # around the threshold of reverse majorization, and the kernel's bracket of
 # that threshold stays open on every row with p < a, whose bracket columns
 # then take the cell-by-cell float comparison
-OPEN_BRACKETS = RecoveryProblem(
-    0.9440145989529203, 0.9440145989529222, Tolerance(1.7488832477578608e-15)
-)
+OPEN_BRACKETS = _problem(*grid_equivalence.OPEN_BRACKETS)
 
 
 def test_region_grid_open_brackets_match_scalar_classifier():
@@ -575,22 +554,16 @@ def test_region_grid_ulp_gap_family_matches_scalar_classifier():
     # twenty opens a rev bracket, and each is checked cell by cell
     rng = random.Random(31)
     for _ in range(200):
-        eps = 10 ** rng.uniform(-15, -3)
-        a = rng.uniform(0.5, 1.0 - 2 * eps)
-        b = a + eps
-        for _ in range(rng.randint(0, 3)):
-            b = math.nextafter(b, 2.0)
-        if a < b - eps:  # RecoveryProblem's own test of a < b
-            _assert_grid_matches_scalar_classifier(
-                RecoveryProblem(a, b, Tolerance(eps)), rng.randint(2, 20)
-            )
+        problem = grid_equivalence.ulp_gap(rng)
+        if problem:
+            _assert_grid_matches_scalar_classifier(_problem(*problem), rng.randint(2, 20))
 
 
 # b + eps lies within rounding of p_8 = 0.9 at n = 10: on that row the first
 # two target weights sum to b + eps give or take an ulp as q varies, so the
 # second prefix test of forward majorization, p <= b + eps, holds or fails
 # column by column, and the kernel's bracket of that threshold stays open
-OPEN_FORWARD_BRACKET = RecoveryProblem(0.6, 0.8999, Tolerance(1e-4))
+OPEN_FORWARD_BRACKET = _problem(*grid_equivalence.OPEN_FORWARD_BRACKET)
 
 
 def test_region_grid_open_forward_bracket_matches_scalar_classifier():
@@ -604,7 +577,7 @@ def test_region_grid_several_complete_cells():
     # at eps = 9e-4 the swap point (p, q) = (b, a) = (p_360, q_240) has an
     # eps-neighbourhood of 3 x 3 cells; (p_361, q_239) fails forward
     # majorization, so 8 of them are complete
-    prob = RecoveryProblem(0.7, 0.8, Tolerance(9e-4))
+    prob = _problem(*grid_equivalence.SWAP_BLOCK)
     g = region_grid(prob, 600)
     assert g.counts()[RegionClass.COMPLETE_RECOVERY] == 8
     for i in (359, 360, 361):
