@@ -5,15 +5,19 @@ Extracts REV with `git archive REV | tar -x` into a temporary directory,
 imports its package side by side with the one in this checkout's src/, and
 classifies the same grid families with both: seeded random problems, the
 ulp-gap family, open reverse brackets at n = 1500/2000/3000, the open
-forward bracket, equal spectra at wide eps, the 3 x 3 block of complete
-cells, and problems at the edge of the range (a just below 1/2, b just
-above 1).  Prints each grid whose codes or counts differ.  Exit status is 0
-when every grid matches, 1 otherwise.
+forward bracket, a lone open reverse row on a grid with no equal-spectra
+cell (one fixture, and b = p_i + eps draws), equal spectra at wide eps, the
+3 x 3 block of complete cells, problems at the edge of the range (a just
+below 1/2, b just above 1), and four-decimal problems at the benchmark's
+resolutions.  Prints each grid whose codes or counts differ and the count
+of identical grids per family.  Exit status is 0 when every grid matches,
+1 otherwise.
 
     python3 scripts/grid_equivalence.py --parent HEAD~1
 """
 
 import argparse
+import collections
 import importlib.util
 import math
 import random
@@ -30,6 +34,9 @@ ROOT = Path(__file__).resolve().parent.parent
 OPEN_BRACKETS = (0.9440145989529203, 0.9440145989529222, 1.7488832477578608e-15)
 # b + eps lies within rounding of p_8 = 0.9 at n = 10: a forward bracket stays open
 OPEN_FORWARD_BRACKET = (0.6, 0.8999, 1e-4)
+# b is p_4 + eps at n = 6: the reverse bracket of row 4 stays open, while no
+# cell of the grid has equal spectra
+OPEN_ROW_NO_EQUAL = (0.8, 0.5 + 4 / 12 + 1e-12, 1e-12)
 # the swap point's eps-neighbourhood covers 3 x 3 cells at n = 600
 SWAP_BLOCK = (0.7, 0.8, 9e-4)
 
@@ -71,12 +78,33 @@ def ulp_gap(rng):
     return (a, b, eps) if a < b - eps else None
 
 
+def row_plus_eps(rng, max_n: int = 200):
+    """Random (a, b, eps, n), n <= max_n, with b equal to p_i + eps, give or
+    take 2 ulps, for a row p_i of the n grid, or None when rounding leaves b
+    outside (a + eps, 1 + eps].  The target's second prefix sum, flat at b,
+    jitters around the row's reverse threshold p_i + eps, so that row's
+    bracket can stay open on a grid with no equal-spectra cell."""
+    n, eps = rng.randint(2, max_n), 10 ** rng.uniform(-12, -3)
+    b = 0.5 + rng.randint(1, n) / (2 * n) + eps
+    for _ in range(rng.randint(0, 2)):
+        b = math.nextafter(b, rng.choice((0.0, 2.0)))
+    a = rng.uniform(0.5, b - 2 * eps)
+    return (a, b, eps, n) if a < b - eps and b <= 1.0 + eps else None
+
+
 def wide_eps_equal(rng):
     """Random (a, b, eps) with eps in [1e-4, 1e-3), a near 1/2 and b - a of
     1.5 to 5 eps, which puts equal spectra on grid cells near the diagonal."""
     eps = rng.uniform(1e-4, 9.99e-4)
     a = rng.uniform(0.5 - eps / 2, 0.52)
     return a, a + rng.uniform(1.5, 5.0) * eps, eps
+
+
+def four_decimal(rng):
+    """Random (a, b) as the benchmark draws them (perfbench/workloads.py):
+    a in [0.52, 0.9] and b in [a + 0.02, 0.98], each rounded to 4 decimals."""
+    a = round(rng.uniform(0.52, 0.9), 4)
+    return a, round(rng.uniform(a + 0.02, 0.98), 4)
 
 
 def families(seed: int):
@@ -101,6 +129,15 @@ def families(seed: int):
     for _ in range(200):
         low_a, high_b = rng.choice([(True, False), (False, True), (True, True)])
         yield "edge-of-range", *edge_of_range(rng, low_a, high_b), rng.randint(1, 400)
+    yield "open-row-no-equal", *OPEN_ROW_NO_EQUAL, 6
+    for _ in range(200):
+        problem = row_plus_eps(rng)
+        if problem:
+            yield "row-plus-eps", *problem
+    for _ in range(64):
+        problem = four_decimal(rng)
+        for n in (100, 200, 400, 500, 1000, 1500):
+            yield "four-decimal", *problem, 1e-12, n
 
 
 def _census(module, a, b, eps, n):
@@ -141,6 +178,10 @@ def main():
         compared, diffs = compare(mine, theirs)
     for family, a, b, eps, n in diffs:
         print(f"differ: {family} a={a!r} b={b!r} eps={eps!r} n={n}")
+    grids = collections.Counter(family for family, *_ in families(0))
+    differ = collections.Counter(family for family, *_ in diffs)
+    for family, k in grids.items():
+        print(f"{family}: {k - differ[family]} of {k} identical")
     print(f"{compared - len(diffs)} of {compared} grids identical to {args.parent}")
     return 1 if diffs else 0
 

@@ -343,11 +343,12 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     searchsorted, as grid entropies fall by at least 1/(2 ln 2 n^2) >=
     7.2e-9 a step; only the six prefix-sum cuts, which rounding can make
     non-monotone, are bracketed, by searchsorted on the running maximum and
-    minimum of their columns.  A cell's predicates pack into one byte, its
-    key, which a table built from _ladder maps to its class.  A row is at
-    most five runs of equal keys, whose codes one np.repeat writes; only
-    rows with an equal-spectra cell, an open bracket or a swap cell get key
-    bytes, and float comparisons on their open bracket columns.
+    minimum of their columns (one search on a rising column).  A cell's
+    predicates pack into one byte, its key, which a table built from _ladder
+    maps to its class.  A row is at most five runs of equal keys, whose codes
+    one np.repeat writes; only rows with an equal-spectra cell, an open
+    bracket or a swap cell get key bytes, and float comparisons on their open
+    bracket columns, in a pass skipped when no row has any of them.
     Deterministic for fixed (a, b, n, eps).  Peak extra memory, for
     m = n + 1: the (m x m) codes, O(m) thresholds, and per chunk of rows the
     keys of its patched rows, the bool masks of one bracket rectangle (at
@@ -365,75 +366,88 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     eps = prob.tol.eps
     a, b = prob.a, prob.b
     m = n + 1
-    pv, qv, hv = _grid_axis(n)
+    axis = _grid_axis(n)
+    pv, _, hv = axis
     # _sorted_products row by row, source (c = a) and target (c = b) at once,
-    # with the same IEEE operations
-    c = np.array([[a], [b]])
-    xy4 = np.sort(np.stack([c * pv, c * qv, (1.0 - c) * pv, (1.0 - c) * qv], axis=2),
-                  axis=2)[..., ::-1]
-    x4, y4 = xy4
-    # sequential left-to-right sums, as in is_majorized_by
-    sx, sy = np.cumsum(xy4[..., :3], axis=2)
-    sx_eps, sy_eps, hv_eps, pv_eps = sx + eps, sy + eps, hv - eps, pv - eps
+    # with the same IEEE operations: prod[u, w] holds the products of
+    # (c, 1 - c)[u] with (v, 1 - v)[w] as (2, m) rows, which a five-exchange
+    # network of maximum/minimum sorts into rank rows, the values of np.sort
+    prod = np.array([a, b, 1.0 - a, 1.0 - b]).reshape(2, 1, 2, 1) * axis[:2, None]
+    high, low = np.maximum(prod[:, 0], prod[:, 1]), np.minimum(prod[:, 0], prod[:, 1])
+    top, mid_hi = np.maximum(high[0], high[1]), np.minimum(high[0], high[1])
+    mid_lo, bottom = np.maximum(low[0], low[1]), np.minimum(low[0], low[1])
+    ranks = (top, np.maximum(mid_hi, mid_lo), np.minimum(mid_hi, mid_lo), bottom)
+    # sums[0, k] adds ranks 0..k left to right, as is_majorized_by does, and
+    # sums[1] adds eps; sums[:, k, 0] is the source row, sums[:, k, 1] the target
+    sums = np.empty((2, 3, 2, m))
+    sums[0, 0] = top
+    np.add(top, ranks[1], out=sums[0, 1])
+    np.add(sums[0, 1], ranks[2], out=sums[0, 2])
+    np.add(sums[0], eps, out=sums[1])
+    (sx, sy), (sx_eps, sy_eps) = sums.transpose(0, 2, 1, 3)
 
     # Along row i each predicate is one interval of columns: fwd a suffix,
-    # rev and gain prefixes.  Each row of cols holds the test col[j] < t
-    # (side "left"; fwd is its negation) or col[j] <= t ("right") for the
-    # row's t in vals.  Rounding can make col non-monotone (sy[:, 1] is flat
-    # at b for q <= b), so each threshold is bracketed: the test holds for
-    # j < lo, where the running maximum of col passes it, and fails for
-    # j >= hi, where the running minimum of col[j:] fails it.
-    cols = np.concatenate([sy_eps.T, sy.T])
-    vals = np.concatenate([sx.T, sx_eps.T])
-    up = np.maximum.accumulate(cols, axis=1)
-    down = np.minimum.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
-    t_lo, t_hi = np.empty((2, 6, m), dtype=np.intp)
-    for k, side in enumerate(("left",) * 3 + ("right",) * 3):
-        t_lo[k] = up[k].searchsorted(vals[k], side)
-        t_hi[k] = down[k].searchsorted(vals[k], side)
+    # rev and gain prefixes.  cols[f, k] holds the test col[j] < t (f = 0,
+    # side "left"; fwd is its negation) or col[j] <= t (f = 1, "right") for
+    # the row's t in vals[f, k].  Rounding can make col non-monotone (sy[1] is
+    # flat at b for q <= b), so each threshold is bracketed: the test holds
+    # for j < lo, where the running maximum of col passes it, and fails for
+    # j >= hi, where the running minimum of col[j:] fails it.  On a rising
+    # col both are col itself, and one search gives lo = hi.
+    cols, vals = sums[::-1, :, 1], sums[:, :, 0]
+    up = np.maximum.accumulate(cols, axis=2)
+    rising = np.logical_and.reduce(up == cols, axis=2)
+    t = np.empty((2, 3, 2, m), dtype=np.intp)
+    for f, side in enumerate(("left", "right")):
+        for k in range(3):
+            t[f, k, 0] = up[f, k].searchsorted(vals[f, k], side)
+            t[f, k, 1] = t[f, k, 0] if rising[f, k] else np.minimum.accumulate(
+                cols[f, k, ::-1])[::-1].searchsorted(vals[f, k], side)
     # fwd fails for j < fwd_lo and holds from fwd_hi on; rev holds for
     # j < rev_lo and fails from rev_hi on; the gain holds for j < gain_lo, as
-    # -hv_eps rises by >= 1/(2 ln 2 n^2) >= 7.2e-9 a column, far above
+    # hv - eps falls by >= 1/(2 ln 2 n^2) >= 7.2e-9 a column, far above
     # rounding, and pv is exactly monotone
-    fwd_lo, fwd_hi = t_lo[:3].max(axis=0), t_hi[:3].max(axis=0)
-    rev_lo, rev_hi = t_lo[3:].min(axis=0), t_hi[3:].min(axis=0)
-    gain_lo = np.minimum((-hv_eps).searchsorted(-hv), pv.searchsorted(pv_eps))
+    (fwd_lo, fwd_hi), (rev_lo, rev_hi) = np.maximum.reduce(t[0]), np.minimum.reduce(t[1])
+    gain_lo = np.minimum(np.subtract(eps, hv).searchsorted(-hv), pv.searchsorted(pv - eps))
 
     # Each row is at most five runs of equal keys, cut where a predicate
     # changes; below_a (q < a) is a column prefix.  A predicate's bit starts
     # unset on the undecided columns [lo, hi) of its bracket.
     below_a = pv.searchsorted(a - eps)
-    cuts = np.empty((m, 6), dtype=np.intp)
-    cuts[:, 0], cuts[:, 1], cuts[:, 5] = 0, below_a, m
-    cuts[:, 2], cuts[:, 3], cuts[:, 4] = fwd_hi, rev_lo, gain_lo
-    cuts.sort(axis=1)
-    run_start, run_len = cuts[:, :5], np.diff(cuts, axis=1)
+    edges = np.empty((6, m), dtype=np.intp)  # by rank, so each compare spans m columns
+    edges[0], edges[1], edges[5] = 0, below_a, m
+    edges[2], edges[3], edges[4] = fwd_hi, rev_lo, gain_lo
+    edges.sort(axis=0)
+    run_start, run_len = edges[:5], (edges[1:] - edges[:5]).T
     run_key = ((run_start < below_a).view(np.uint8) * _BELOW_A
-               | (run_start >= fwd_hi[:, None]).view(np.uint8) * _FWD
-               | (run_start < rev_lo[:, None]).view(np.uint8) * _REV
-               | (run_start < gain_lo[:, None]).view(np.uint8) * _GAIN)
+               | (run_start >= fwd_hi).view(np.uint8) * _FWD
+               | (run_start < rev_lo).view(np.uint8) * _REV
+               | (run_start < gain_lo).view(np.uint8) * _GAIN).T
 
     # Equal spectra need |x_0 - y_0| <= eps, and y_0 = b*q_j is non-decreasing
     # in j (b > 1/2, q >= 1/2), so each row's candidates form one column
     # window.  |fl(x_0 - y_0)| <= eps implies |x_0 - y_0| < 2*eps, so by
     # monotone rounding the 4*eps window keeps every such column.
-    jlo = y4[:, 0].searchsorted(x4[:, 0] - 4 * eps)
-    jhi = y4[:, 0].searchsorted(x4[:, 0] + 4 * eps, side="right")
+    x0, y0 = top
+    jlo = y0.searchsorted(x0 - 4 * eps)
+    width = y0.searchsorted(x0 + 4 * eps, side="right") - jlo
     # Every row gets its runs' codes.  Rows with an equal-spectra cell, an open
     # bracket or a swap cell get keys: rebuilt from the runs, patched, translated
     run_code = np.frombuffer(run_key.tobytes().translate(_LADDER_TABLE), dtype=np.uint8)
     codes = np.repeat(run_code, run_len.ravel()).reshape(m, m)
     swap_row = np.abs(pv - b) <= eps
     patched = (fwd_lo < fwd_hi) | (rev_lo < rev_hi) | swap_row
+    if not (np.count_nonzero(patched) or np.count_nonzero(width)):
+        return RegionGrid(a=a, b=b, n=n, codes=codes)
     chunk = max(1, min(m, 2_000_000 // m))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        width = jhi[lo:hi] - jlo[lo:hi]
-        start = np.cumsum(width) - width  # where each row's candidates begin
-        ci = np.repeat(np.arange(lo, hi), width)  # candidate cells (ci, cj)
+        start = np.cumsum(width[lo:hi]) - width[lo:hi]  # each row's first candidate
+        ci = np.repeat(np.arange(lo, hi), width[lo:hi])  # candidate cells (ci, cj)
         cj = jlo[ci] + np.arange(ci.size) - start[ci - lo]
-        equal = (np.abs(x4[ci] - y4[cj]) <= eps).all(axis=1)
-        ci, cj = ci[equal], cj[equal]
+        for rank in ranks:  # one rank at a time, on the cells still equal
+            equal = np.abs(rank[0, ci] - rank[1, cj]) <= eps
+            ci, cj = ci[equal], cj[equal]
         patched[ci] = True
         rows = lo + np.flatnonzero(patched[lo:hi])
         if not rows.size:
@@ -455,8 +469,8 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
                 j = np.arange(j0, j1)
                 hold = j < b_hi[r, None]
                 hold &= b_lo[r, None] <= j
-                for k in range(row_vals.shape[1]):
-                    hold &= op(row_vals[r, k, None], col_vals[j0:j1, k])
+                for k in range(3):
+                    hold &= op(row_vals[k, r, None], col_vals[k, j0:j1])
                 keys[span, j0:j1] |= hold.view(np.uint8) * bit
                 del hold  # a chunk x m mask: free it before the next one is built
         # the swap bit: rows with p within eps of b, columns with q within eps of a

@@ -10,7 +10,8 @@ from conftest import grid_equivalence
 
 SRC = Path(entrecovery.__file__).resolve().parent.parent
 FAMILIES = {"random", "ulp-gap", "open-brackets", "open-forward-bracket",
-            "wide-eps-equal", "swap-block", "edge-of-range"}
+            "open-row-no-equal", "row-plus-eps", "wide-eps-equal", "swap-block",
+            "edge-of-range", "four-decimal"}
 
 
 def test_grid_equivalence_finds_a_tree_equal_to_itself():

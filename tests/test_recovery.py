@@ -482,6 +482,19 @@ def test_region_grid_edge_of_range_matches_scalar_classifier(low_a, high_b):
         )
 
 
+@pytest.mark.parametrize("n", [1, 2, 16, 40])
+@pytest.mark.parametrize("a,b", [(0.5, 0.8), (0.7, 1.0), (0.5, 1.0)],
+                         ids=["a-half", "b-one", "both"])
+def test_region_grid_product_ties_match_scalar_classifier(a, b, n):
+    # region_grid sorts the four products with a max/min network, which must
+    # order exact ties as sorted() does: at a = 1/2, a*p equals (1-a)*p on
+    # every row; at b = 1, (1-b)*q and (1-b)*(1-q) are both +0.0; and at
+    # p = 1 or q = 1 more products are zero.  With the b in (1, 1 + eps]
+    # family, where -0.0 appears at q = 1, this pins that the sign of a zero
+    # never reaches a predicate
+    _assert_grid_matches_scalar_classifier(RecoveryProblem(a, b), n)
+
+
 def test_region_grid_gain_cut_edges_at_wide_eps():
     # the gain is q < p - eps with H(p) < H(q) - eps.  The entropy term first
     # leaves a gain on row i0, where 1 - H(p) passes eps; the cap q < p - eps
@@ -571,6 +584,32 @@ def test_region_grid_open_forward_bracket_matches_scalar_classifier():
     assert [g.class_at(8, j).value for j in range(2, 8)] == [
         "infeasible", "trivial", "incomparable", "incomparable", "trivial", "incomparable",
     ]
+
+
+# b is p_4 + eps at n = 6 with the default eps: on row 4 the target's
+# second prefix sum, flat at b, equals the reverse threshold p_4 + eps on
+# columns 0, 1 and 3 but lies an ulp above it on column 2, so the bracket
+# stays open; no cell has equal spectra, so only the open bracket sends the
+# row through the fix-up pass
+OPEN_ROW_NO_EQUAL = _problem(*grid_equivalence.OPEN_ROW_NO_EQUAL)
+
+
+def test_region_grid_open_row_without_equal_spectra_matches_scalar_classifier():
+    g = _assert_grid_matches_scalar_classifier(OPEN_ROW_NO_EQUAL, 6)
+    assert [g.class_at(4, j).value for j in range(4)] == [
+        "increasing", "increasing", "incomparable", "increasing",
+    ]
+
+
+def test_region_grid_row_plus_eps_family_matches_scalar_classifier():
+    # b = p_i + eps give or take 2 ulps: row i's reverse bracket can stay
+    # open on a grid where no row needs the equal-spectra test
+    rng = random.Random(59)
+    for _ in range(100):
+        problem = grid_equivalence.row_plus_eps(rng, max_n=24)
+        if problem:
+            *abe, n = problem
+            _assert_grid_matches_scalar_classifier(_problem(*abe), n)
 
 
 def test_region_grid_several_complete_cells():
