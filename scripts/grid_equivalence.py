@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare region_grid codes and counts with those of another revision.
+"""Compare region_grid codes, counts and CSV bytes with those of another revision.
 
 Extracts REV with `git archive REV | tar -x` into a temporary directory,
 imports its package side by side with the one in this checkout's src/, and
@@ -9,15 +9,19 @@ forward bracket, a lone open reverse row on a grid with no equal-spectra
 cell (one fixture, and b = p_i + eps draws), equal spectra at wide eps, the
 3 x 3 block of complete cells, problems at the edge of the range (a just
 below 1/2, b just above 1), and four-decimal problems at the benchmark's
-resolutions.  Prints each grid whose codes or counts differ and the count
-of identical grids per family.  Exit status is 0 when every grid matches,
-1 otherwise.
+resolutions.  Prints each grid whose codes, counts or CSV bytes differ and
+the count of identical grids per family.  The CSV bytes are each side's own
+write_region_csv output, compared by sha256 as they stream, so no grid's
+CSV is held in memory.  Exit status is 0 when every grid matches, 1
+otherwise.
 
     python3 scripts/grid_equivalence.py --parent HEAD~1
 """
 
 import argparse
 import collections
+import hashlib
+import importlib
 import importlib.util
 import math
 import random
@@ -42,13 +46,15 @@ SWAP_BLOCK = (0.7, 0.8, 9e-4)
 
 
 def load_package(src: Path, name: str):
-    """Import the entrecovery package under src/ as a module called name."""
+    """Import the entrecovery package under src/ as a module called name,
+    with its cli submodule."""
     init = src / "entrecovery" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.cli")
     return module
 
 
@@ -140,23 +146,38 @@ def families(seed: int):
             yield "four-decimal", *problem, 1e-12, n
 
 
+class _Sha256Sink:
+    """A file-like object whose write feeds the text, UTF-8 encoded, to a sha256."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+
+
 def _census(module, a, b, eps, n):
     grid = module.region_grid(module.RecoveryProblem(a, b, module.Tolerance(eps)), n)
-    return grid.codes, {cls.value: k for cls, k in grid.counts().items()}
+    sink = _Sha256Sink()
+    module.cli.write_region_csv(grid, sink)
+    counts = {cls.value: k for cls, k in grid.counts().items()}
+    return grid.codes, counts, sink.hash.digest()
 
 
 def compare(mine, theirs, max_n: int = 3000):
     """Classify every family grid, with n capped at max_n, in both modules.
 
-    Returns (grids compared, list of (family, a, b, eps, n) that differ).
+    A grid differs when its codes, counts or CSV bytes do.  Returns (grids
+    compared, list of (family, a, b, eps, n) that differ).
     """
     compared, diffs = 0, []
     for family, a, b, eps, n in families(0):
         n = min(n, max_n)
-        codes, counts = _census(mine, a, b, eps, n)
-        want_codes, want_counts = _census(theirs, a, b, eps, n)
+        codes, counts, csv = _census(mine, a, b, eps, n)
+        want_codes, want_counts, want_csv = _census(theirs, a, b, eps, n)
         compared += 1
-        if counts != want_counts or not np.array_equal(codes, want_codes):
+        if (counts != want_counts or csv != want_csv
+                or not np.array_equal(codes, want_codes)):
             diffs.append((family, a, b, eps, n))
     return compared, diffs
 

@@ -71,6 +71,10 @@ _RECOVERY_CLASSES = (
 )
 
 
+# cells per block of rows in write_region_csv: bounds its run-edge arrays
+_BLOCK_CELLS = 1 << 15
+
+
 class CliUsageError(Exception):
     pass
 
@@ -125,16 +129,43 @@ def parse_spectrum(text: str, tol: Tolerance) -> SchmidtSpectrum:
 
 
 def write_region_csv(grid: RegionGrid, fh) -> None:
-    """Emit the grid as `p,q,class` rows, one write per grid row, deterministically."""
+    """Emit the grid as `p,q,class` rows, one write per grid row, deterministically.
+
+    A grid row is a few runs of equal codes, and each run [s, e) of code c
+    is one C-level `prefix.join(tails[c][s:e])` over a plain-list slice of
+    the prebuilt `q,class` cell tails, so no Python object is built per
+    cell.  The run edges come from comparing neighbouring codes, a block of
+    about _BLOCK_CELLS cells at a time: its bool mask, index arrays and their
+    lists are the writer's only memory beyond the six (n + 1)-string tail
+    lists and one row string, even when every cell starts a run.  A code no
+    class has raises OutOfRangeError before the first write.
+    """
     import numpy as np
 
-    coords = [f"{grid.p_value(i)!r}," for i in range(grid.n + 1)]
-    table = np.array([[c + f"{cls.value}\n" for c in coords] for cls in RegionClass],
-                     dtype=object)
-    cols = np.arange(grid.n + 1)
+    codes = grid.codes
+    m = grid.n + 1
+    labels = [f"{cls.value}\n" for cls in RegionClass]
+    if codes.max() >= len(labels):
+        # class_at raises OutOfRangeError naming the first such cell and its code
+        grid.class_at(*divmod(int(np.argmax(codes >= len(labels))), m))
+    coords = [f"{grid.p_value(i)!r}," for i in range(m)]
+    tails = [[c + label for c in coords] for label in labels]
+    rows_per_block = max(1, _BLOCK_CELLS // m)
     fh.write("p,q,class\n")
-    for prefix, row in zip(coords, grid.codes):
-        fh.write(prefix + prefix.join(table[row, cols].tolist()))
+    for top in range(0, m, rows_per_block):
+        block = codes[top:top + rows_per_block]
+        # edge[r, s] marks where a run of row r starts, and its end at s = m
+        edge = np.empty((len(block), m + 1), dtype=bool)
+        edge[:, 0] = edge[:, m] = True
+        np.not_equal(block[:, 1:], block[:, :-1], out=edge[:, 1:m])
+        rows, cols = np.nonzero(edge)
+        firsts = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
+        # the code of the run starting at each edge; the end edge's is unused
+        run_codes = block[rows, np.minimum(cols, m - 1)].tolist()
+        cols = cols.tolist()
+        for prefix, lo, hi in zip(coords[top:top + rows_per_block], firsts, firsts[1:]):
+            runs = zip(run_codes[lo:hi], cols[lo:hi], cols[lo + 1:hi])
+            fh.write(prefix.join(["", *[prefix.join(tails[c][s:e]) for c, s, e in runs]]))
 
 
 def _spectrum_arg(text: str | None, coeff: float | None, tol: Tolerance):

@@ -322,7 +322,12 @@ class RegionGrid(FrozenValue):
     q_value = p_value  # both axes take the same values
 
     def class_at(self, i: int, j: int) -> RegionClass:
-        return _CLASSES[self.codes[self._check_index(i), self._check_index(j)]]
+        i, j = self._check_index(i), self._check_index(j)
+        code = self.codes[i, j]
+        if code >= len(_CLASSES):  # codes is writable, so a caller can store any byte
+            raise OutOfRangeError(
+                f"grid cell ({i}, {j}) holds code {code}, which no class has")
+        return _CLASSES[code]
 
     def counts(self) -> dict[RegionClass, int]:
         import numpy as np

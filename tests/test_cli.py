@@ -2,11 +2,22 @@ import errno
 import hashlib
 import io
 import json
+import math
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from entrecovery import RecoveryProblem, classify_point, region_grid
+from conftest import grid_equivalence
+from entrecovery import (
+    RecoveryProblem,
+    RegionClass,
+    Tolerance,
+    classify_point,
+    region_grid,
+)
+from entrecovery import cli
 from entrecovery.cli import main, write_region_csv
 
 TRANSFORM_GOLDEN = """\
@@ -239,6 +250,72 @@ def test_region_csv_matches_library_writer(tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8") == buf.getvalue()
 
 
+def reference_region_csv(grid) -> str:
+    """The grid's CSV as a per-cell loop writes it: the reference for write_region_csv."""
+    cells = range(grid.n + 1)
+    return "p,q,class\n" + "".join(
+        f"{grid.p_value(i)!r},{grid.q_value(j)!r},{grid.class_at(i, j).value}\n"
+        for i in cells for j in cells)
+
+
+def _assert_writer_matches_reference(grid):
+    buf = io.StringIO()
+    write_region_csv(grid, buf)
+    assert buf.getvalue() == reference_region_csv(grid), (grid.a, grid.b, grid.n)
+
+
+def test_write_region_csv_matches_per_cell_reference_on_family_grids():
+    for _, a, b, eps, n in grid_equivalence.families(0):
+        if n <= 16:
+            _assert_writer_matches_reference(
+                region_grid(RecoveryProblem(a, b, Tolerance(eps)), n))
+
+
+# (n + 1)^2 > _BLOCK_CELLS, so the writer's row blocks split the grid
+SEAM_N = math.isqrt(cli._BLOCK_CELLS) + 10
+
+
+@pytest.mark.parametrize("n,codes", [(1, None), (40, "one-class"), (40, "alternating"),
+                                     (SEAM_N, None), (SEAM_N, "alternating")])
+def test_write_region_csv_matches_per_cell_reference(n, codes):
+    grid = region_grid(RecoveryProblem(0.6, 0.9), n)
+    if codes == "one-class":
+        grid.codes[:] = 0
+    elif codes == "alternating":
+        # a caller's write that changes class at every column: each cell starts a run
+        grid.codes[:] = np.arange(n + 1) % len(RegionClass)
+    _assert_writer_matches_reference(grid)
+
+
+class _LengthSink:
+    """A file-like object that keeps only the number and length of its writes."""
+
+    def __init__(self):
+        self.writes = self.length = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.length += len(text)
+
+
+def test_write_region_csv_memory_is_bounded_by_its_block():
+    # every cell starts a run, the worst case for the writer's run-edge arrays;
+    # run edges found over the whole grid at once would hold two intp arrays of
+    # about 1M entries each (16 MB), so their peak alone breaks the bound
+    n = 1000
+    grid = region_grid(RecoveryProblem(0.6, 0.9), n)
+    grid.codes[:] = np.arange(n + 1) % len(RegionClass)
+    sink = _LengthSink()
+    tracemalloc.start()
+    try:
+        write_region_csv(grid, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.writes == n + 2
+    assert peak < 256 * cli._BLOCK_CELLS, peak  # 8 MiB at 32768 cells a block
+
+
 # sha256 of `region --out` bytes: any drift in the CSV format or a class shows here
 REGION_CSV_SHA256 = [
     ("0.7", "0.8", "200", "1e-12",
@@ -255,20 +332,30 @@ REGION_CSV_SHA256 = [
 ]
 
 
+# each case through --out, and one also without it, which writes the CSV to stdout
+REGION_CSV_CASES = ([(*case, False) for case in REGION_CSV_SHA256]
+                    + [(*REGION_CSV_SHA256[2], True)])
+
+
 @pytest.mark.parametrize(
-    "a,b,n,eps,digest", REGION_CSV_SHA256,
-    ids=[f"a{c[0]}-b{c[1]}-n{c[2]}-eps{c[3]}" for c in REGION_CSV_SHA256],
+    "a,b,n,eps,digest,to_stdout", REGION_CSV_CASES,
+    ids=[f"a{c[0]}-b{c[1]}-n{c[2]}-eps{c[3]}" + ("-stdout" if c[5] else "")
+         for c in REGION_CSV_CASES],
 )
-def test_region_csv_golden_bytes(tmp_path, capsys, a, b, n, eps, digest):
-    out_path = tmp_path / "grid.csv"
-    code, _, _ = run(capsys, "region", "--a", a, "--b", b, "--n", n,
-                     "--eps", eps, "--out", str(out_path))
-    assert code == 0
+def test_region_csv_golden_bytes(tmp_path, capsys, a, b, n, eps, digest, to_stdout):
+    argv = ["region", "--a", a, "--b", b, "--n", n, "--eps", eps]
     h = hashlib.sha256()
-    with out_path.open("rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    out_path.unlink()
+    if to_stdout:
+        code, out, _ = run(capsys, *argv)
+        h.update(out.encode())
+    else:
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, *argv, "--out", str(out_path))
+        with out_path.open("rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                h.update(block)
+        out_path.unlink()
+    assert code == 0
     assert h.hexdigest() == digest
 
 

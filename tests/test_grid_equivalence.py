@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import entrecovery
+import entrecovery.cli
 from conftest import grid_equivalence
 
 SRC = Path(entrecovery.__file__).resolve().parent.parent
@@ -39,6 +40,23 @@ def test_grid_equivalence_reports_each_grid_that_differs():
         RecoveryProblem=entrecovery.RecoveryProblem,
         Tolerance=entrecovery.Tolerance,
         region_grid=region_grid,
+        cli=entrecovery.cli,
+    )
+    _, diffs = grid_equivalence.compare(changed, entrecovery, max_n=16)
+    assert diffs == [("swap-block", *grid_equivalence.SWAP_BLOCK, 16)] * 3
+
+
+def test_grid_equivalence_reports_a_grid_whose_csv_bytes_differ():
+    def write_region_csv(grid, fh):
+        entrecovery.cli.write_region_csv(grid, fh)
+        if (grid.a, grid.b) == grid_equivalence.SWAP_BLOCK[:2]:
+            fh.write("\n")
+
+    changed = types.SimpleNamespace(
+        RecoveryProblem=entrecovery.RecoveryProblem,
+        Tolerance=entrecovery.Tolerance,
+        region_grid=entrecovery.region_grid,
+        cli=types.SimpleNamespace(write_region_csv=write_region_csv),
     )
     _, diffs = grid_equivalence.compare(changed, entrecovery, max_n=16)
     assert diffs == [("swap-block", *grid_equivalence.SWAP_BLOCK, 16)] * 3

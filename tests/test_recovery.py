@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import re
@@ -31,6 +32,7 @@ from entrecovery import (
     tensor,
     two_qubit,
 )
+from entrecovery.cli import write_region_csv
 from entrecovery.recovery import MAX_GRID_N, _grid_axis
 from conftest import (
     grid_equivalence,
@@ -467,6 +469,20 @@ def test_counts_follow_a_write_to_codes():
     assert after[RegionClass.INFEASIBLE_OTHER] == before[RegionClass.INFEASIBLE_OTHER] + 1
     g.codes[0, 0] = len(RegionClass)
     assert sum(g.counts().values()) == 21 * 21 - 1
+
+
+def test_a_code_no_class_has_is_a_typed_error_and_writes_nothing():
+    g = region_grid(RecoveryProblem(0.7, 0.8), 20)
+    g.codes[5, 3] = len(RegionClass)
+    g.codes[9, 0] = 255
+    with pytest.raises(OutOfRangeError, match=r"cell \(5, 3\) holds code 6"):
+        g.class_at(5, 3)
+    with pytest.raises(OutOfRangeError, match=r"cell \(9, 0\) holds code 255"):
+        g.class_at(9, 0)
+    buf = io.StringIO()
+    with pytest.raises(OutOfRangeError, match=r"cell \(5, 3\) holds code 6"):
+        write_region_csv(g, buf)
+    assert buf.getvalue() == ""
 
 
 @pytest.mark.parametrize("low_a,high_b", [(True, False), (False, True), (True, True)],
