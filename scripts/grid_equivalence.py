@@ -2,7 +2,8 @@
 """Compare region_grid codes, counts and CSV bytes with those of another revision.
 
 Extracts REV with `git archive REV | tar -x` into a temporary directory,
-imports its package side by side with the one in this checkout's src/, and
+imports its package side by side with the one in this checkout's src/
+(scripts/side_by_side.py), and
 classifies the same grid families with both: seeded random problems, the
 ulp-gap family, open reverse brackets at n = 1500/2000/3000, the open
 forward bracket, a lone open reverse row on a grid with no equal-spectra
@@ -21,18 +22,14 @@ otherwise.
 import argparse
 import collections
 import hashlib
-import importlib
-import importlib.util
 import math
 import random
-import subprocess
 import sys
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+from side_by_side import ROOT, load_package, load_revision
 
 # b - a is eps and a few ulps: the reverse brackets of rows p < a stay open
 OPEN_BRACKETS = (0.9440145989529203, 0.9440145989529222, 1.7488832477578608e-15)
@@ -43,19 +40,6 @@ OPEN_FORWARD_BRACKET = (0.6, 0.8999, 1e-4)
 OPEN_ROW_NO_EQUAL = (0.8, 0.5 + 4 / 12 + 1e-12, 1e-12)
 # the swap point's eps-neighbourhood covers 3 x 3 cells at n = 600
 SWAP_BLOCK = (0.7, 0.8, 9e-4)
-
-
-def load_package(src: Path, name: str):
-    """Import the entrecovery package under src/ as a module called name,
-    with its cli submodule."""
-    init = src / "entrecovery" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(init.parent)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    importlib.import_module(f"{name}.cli")
-    return module
 
 
 def edge_of_range(rng, low_a: bool, high_b: bool):
@@ -190,12 +174,10 @@ def main():
 
     mine = load_package(ROOT / "src", "entrecovery")
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent],
-                                 capture_output=True, check=False)
-        if archive.returncode:
-            parser.error(f"git archive {args.parent}: {archive.stderr.decode().strip()}")
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        theirs = load_package(Path(tmp) / "src", "entrecovery_parent")
+        try:
+            theirs = load_revision(args.parent, tmp, "entrecovery_parent")
+        except ValueError as exc:
+            parser.error(str(exc))
         compared, diffs = compare(mine, theirs)
     for family, a, b, eps, n in diffs:
         print(f"differ: {family} a={a!r} b={b!r} eps={eps!r} n={n}")

@@ -1,4 +1,4 @@
-"""Exception types for domain violations, and the real-number check that
+"""Exception types for domain violations, and the real-number checks that
 the scalar parameters of the package share.
 
 Everything derives from ValueError so callers that don't care about the
@@ -51,12 +51,27 @@ class ResolutionTooLargeError(InputDomainError):
     """Requested grid resolution exceeds the supported maximum."""
 
 
-def require_real(name: str, v) -> None:
-    """Raise InvalidTypeError unless v is a real number other than a bool.
-
-    Callers test `type(v) is float` first and call this only for other types,
-    which keeps the abstract-base-class check off the common path.
-    """
+def require_real(name: str, v) -> float:
+    """Return float(v), which overflows beyond the float range; raise
+    InvalidTypeError unless v is a real number other than a bool."""
     import numbers  # only values other than a plain float get here
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise InvalidTypeError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
+def require_real_in(name: str, v, lo: float, hi: float, bounds: str) -> float:
+    """Return float(v) for a real v in [lo, hi], else raise InvalidTypeError
+    or OutOfRangeError; a real beyond the float range counts as infinite.
+
+    The slow path of every scalar gate: callers test `type(v) is float` and
+    `lo <= v <= hi` inline, and call this only when that fails.
+    """
+    if type(v) is not float:
+        try:
+            v = require_real(name, v)
+        except OverflowError:
+            v = float("inf") if v > 0 else float("-inf")
+    if not lo <= v <= hi:
+        raise OutOfRangeError(f"{name} must lie in {bounds}, got {v}")
+    return v

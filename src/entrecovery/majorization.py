@@ -68,6 +68,8 @@ def compare(
     if type(tol) is not Tolerance:
         require_tolerance(tol)
     xv, yv = x.values, y.values
+    if xv == yv:  # identical entries: every elementwise test holds
+        return Comparability.EQUAL
     if len(xv) != len(yv):
         xv, yv = _padded(x, y)
     # one pass: elementwise closeness and is_majorized_by in both directions

@@ -31,7 +31,7 @@ from .errors import (
     InvalidTypeError,
     OutOfRangeError,
     ResolutionTooLargeError,
-    require_real,
+    require_real_in,
 )
 from .majorization import is_majorized_by
 from .spectra import (
@@ -72,18 +72,20 @@ class RecoveryProblem(FrozenValue):
     __slots__ = __match_args__ = ("a", "b", "tol")
 
     def __init__(self, a: float, b: float, tol: Tolerance = DEFAULT_TOL):
-        if not (type(a) is float and type(b) is float):
-            require_real("a", a)
-            require_real("b", b)
-        require_tolerance(tol)
-        if not (tol.geq(a, 0.5) and tol.leq(b, 1.0)):
-            raise OutOfRangeError(
-                f"need 1/2 <= a and b <= 1, got a={a}, b={b}"
-            )
-        if not tol.lt(a, b):
-            raise OutOfRangeError(
-                f"need a < b strictly beyond eps, got a={a}, b={b}"
-            )
+        if type(tol) is not Tolerance:
+            require_tolerance(tol)
+        eps = tol.eps  # tol.geq(a, 0.5), tol.leq(b, 1.0) and tol.lt(a, b) inline
+        if not (type(a) is float and type(b) is float
+                and a >= 0.5 - eps and b <= 1.0 + eps and a < b - eps):
+            # a < b within [1/2, 1] puts each of a and b there
+            if type(a) is not float:
+                a = require_real_in("a", a, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+            if type(b) is not float:
+                b = require_real_in("b", b, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+            if not (a >= 0.5 - eps and b <= 1.0 + eps):
+                raise OutOfRangeError(f"need 1/2 <= a and b <= 1, got a={a}, b={b}")
+            if not a < b - eps:
+                raise OutOfRangeError(f"need a < b strictly beyond eps, got a={a}, b={b}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "tol", tol)
@@ -159,21 +161,15 @@ def _require_int(name: str, v) -> int:
     return operator.index(v)
 
 
-def _require_unit_range(tol: Tolerance, **params: float) -> None:
-    # the one gate of every scalar p, q (and a for can_concentrate_bell)
-    for name, v in params.items():
-        if type(v) is not float:
-            require_real(name, v)
-        if not (tol.geq(v, 0.5) and tol.leq(v, 1.0)):
-            raise OutOfRangeError(f"{name} must lie in [1/2, 1], got {v}")
-
-
-def _sorted_products(c: float, v: float) -> list[float]:
+def _sorted_products(c: float, v: float) -> tuple[float, ...]:
     # spectrum of a c-pair joined with a v-pair, sorted non-increasing
-    return sorted(
-        (c * v, c * (1.0 - v), (1.0 - c) * v, (1.0 - c) * (1.0 - v)),
-        reverse=True,
-    )
+    d, w = 1.0 - c, 1.0 - v
+    if 0.5 <= c <= 1.0 and 0.5 <= v <= 1.0:
+        # d = 1 - c and w = 1 - v are exact, so c*v >= c*w, d*v >= d*w >= 0;
+        # outside [1/2, 1] (c or v within eps of it) the order can flip
+        cw, dv = c * w, d * v
+        return (c * v, cw, dv, d * w) if cw >= dv else (c * v, dv, cw, d * w)
+    return tuple(sorted((c * v, c * w, d * v, d * w), reverse=True))
 
 
 def _pair_entropy(v: float) -> float:
@@ -190,19 +186,29 @@ def _grid_axis(n: int) -> np.ndarray:
     return axis
 
 
+@functools.lru_cache(maxsize=4)
+def _gain_cut(n: int, eps: float) -> np.ndarray:
+    # read-only gain_lo of region_grid, which depends on (n, eps) alone
+    import numpy as np
+    pv, _, hv = _grid_axis(n)
+    cut = np.minimum(np.subtract(eps, hv).searchsorted(-hv), pv.searchsorted(pv - eps))
+    cut.flags.writeable = False
+    return cut
+
+
 def product_spectra(
     prob: RecoveryProblem, p: float, q: float
 ) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
     """Joint spectra (source x auxiliary-before, target x auxiliary-after)."""
     if type(prob) is not RecoveryProblem:
         _require_problem(prob)
-    eps = prob.tol.eps  # the range gate's tol.geq(v, 0.5) and tol.leq(v, 1.0)
+    eps = prob.tol.eps  # the range gate, tol.geq(v, 0.5) and tol.leq(v, 1.0)
     if not (type(p) is float and type(q) is float
             and 0.5 - eps <= p <= 1.0 + eps and 0.5 - eps <= q <= 1.0 + eps):
-        _require_unit_range(prob.tol, p=p, q=q)
-    x = SchmidtSpectrum(tuple(_sorted_products(prob.a, p)))
-    y = SchmidtSpectrum(tuple(_sorted_products(prob.b, q)))
-    return x, y
+        p = require_real_in("p", p, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+        q = require_real_in("q", q, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+    return (SchmidtSpectrum(_sorted_products(prob.a, p)),
+            SchmidtSpectrum(_sorted_products(prob.b, q)))
 
 
 def is_feasible_closed_form(prob: RecoveryProblem, p: float, q: float) -> bool:
@@ -231,18 +237,19 @@ def is_feasible_closed_form(prob: RecoveryProblem, p: float, q: float) -> bool:
     """
     if type(prob) is not RecoveryProblem:
         _require_problem(prob)
-    t = prob.tol
-    if not t.lt(prob.b, 1.0):
+    a, b, eps = prob.a, prob.b, prob.tol.eps
+    if not b < 1.0 - eps:  # tol.lt(b, 1.0)
         raise OutOfRangeError("closed-form region requires b < 1")
-    _require_unit_range(t, p=p, q=q)
-    a, b = prob.a, prob.b
-    return (
-        t.lt(q, p)
-        and t.leq(a * p, b * q)
-        and t.leq((1.0 - b) * (1.0 - q), (1.0 - a) * (1.0 - p))
-        and t.leq(p, b)
-        and t.lt(q, b)
-    )
+    if not (type(p) is float and type(q) is float
+            and 0.5 - eps <= p <= 1.0 + eps and 0.5 - eps <= q <= 1.0 + eps):
+        p = require_real_in("p", p, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+        q = require_real_in("q", q, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+    # tol.lt, leq, leq, leq and lt, inline on eps
+    return (q < p - eps
+            and a * p <= b * q + eps
+            and (1.0 - b) * (1.0 - q) <= (1.0 - a) * (1.0 - p) + eps
+            and p <= b + eps
+            and q < b - eps)
 
 
 def classify_point(prob: RecoveryProblem, p: float, q: float) -> RegionClass:
@@ -253,6 +260,8 @@ def classify_point(prob: RecoveryProblem, p: float, q: float) -> RegionClass:
     never enters; see is_feasible_closed_form.
     """
     x, y = product_spectra(prob, p, q)  # checks prob, p and q
+    if not (type(p) is float and type(q) is float):
+        p, q = float(p), float(q)  # reals in range, as product_spectra found
     a, b, eps = prob.a, prob.b, prob.tol.eps
     x0, x1, x2, x3 = x.values
     y0, y1, y2, y3 = y.values
@@ -260,13 +269,13 @@ def classify_point(prob: RecoveryProblem, p: float, q: float) -> RegionClass:
     # prefix sums, added left to right as is_majorized_by adds them
     sx1, sy1 = x0 + x1, y0 + y1
     return _ladder(
-        swap=abs(p - b) <= eps and abs(q - a) <= eps,
-        gain=q < p - eps and _pair_entropy(p) < _pair_entropy(q) - eps,
-        below_a=q < a - eps,
-        equal=(abs(x0 - y0) <= eps and abs(x1 - y1) <= eps
-               and abs(x2 - y2) <= eps and abs(x3 - y3) <= eps),
-        rev=y0 <= x0 + eps and sy1 <= sx1 + eps and sy1 + y2 <= sx1 + x2 + eps,
-        fwd=is_majorized_by(x, y, prob.tol),
+        abs(p - b) <= eps and abs(q - a) <= eps,  # swap
+        q < p - eps and _pair_entropy(p) < _pair_entropy(q) - eps,  # gain
+        q < a - eps,  # below_a
+        (abs(x0 - y0) <= eps and abs(x1 - y1) <= eps  # equal
+         and abs(x2 - y2) <= eps and abs(x3 - y3) <= eps),
+        y0 <= x0 + eps and sy1 <= sx1 + eps and sy1 + y2 <= sx1 + x2 + eps,  # rev
+        is_majorized_by(x, y, prob.tol),  # fwd
     )
 
 
@@ -286,9 +295,14 @@ def can_concentrate_bell(a: float, p: float, tol: Tolerance = DEFAULT_TOL) -> bo
     spectrum (with prefix sums (ap, a, 1-(1-a)(1-p))) is still majorized by
     (1/2, 1/2, 0, 0), but only with equality in the first prefix.
     """
-    require_tolerance(tol)
-    _require_unit_range(tol, a=a, p=p)
-    return tol.lt(a * p, 0.5)
+    if type(tol) is not Tolerance:
+        require_tolerance(tol)
+    eps = tol.eps  # the range gate and tol.lt(a * p, 0.5), inline
+    if not (type(a) is float and type(p) is float
+            and 0.5 - eps <= a <= 1.0 + eps and 0.5 - eps <= p <= 1.0 + eps):
+        a = require_real_in("a", a, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+        p = require_real_in("p", p, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+    return a * p < 0.5 - eps
 
 
 class RegionGrid(FrozenValue):
@@ -372,7 +386,7 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     a, b = prob.a, prob.b
     m = n + 1
     axis = _grid_axis(n)
-    pv, _, hv = axis
+    pv = axis[0]
     # _sorted_products row by row, source (c = a) and target (c = b) at once,
     # with the same IEEE operations: prod[u, w] holds the products of
     # (c, 1 - c)[u] with (v, 1 - v)[w] as (2, m) rows, which a five-exchange
@@ -413,7 +427,7 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     # hv - eps falls by >= 1/(2 ln 2 n^2) >= 7.2e-9 a column, far above
     # rounding, and pv is exactly monotone
     (fwd_lo, fwd_hi), (rev_lo, rev_hi) = np.maximum.reduce(t[0]), np.minimum.reduce(t[1])
-    gain_lo = np.minimum(np.subtract(eps, hv).searchsorted(-hv), pv.searchsorted(pv - eps))
+    gain_lo = _gain_cut(n, eps)
 
     # Each row is at most five runs of equal keys, cut where a predicate
     # changes; below_a (q < a) is a column prefix.  A predicate's bit starts

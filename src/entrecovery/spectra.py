@@ -17,8 +17,8 @@ from .errors import (
     NegativeWeightError,
     NonFiniteWeightError,
     NotNormalizedError,
-    OutOfRangeError,
     require_real,
+    require_real_in,
 )
 
 __all__ = [
@@ -77,18 +77,22 @@ class Tolerance(FrozenValue):
 
     The methods below fix the boundary semantics: "non-strict within eps"
     means leq/geq, "strict beyond eps" means lt/gt.  The scalar hot paths
-    (make_spectrum, is_majorized_by, compare, product_spectra, classify_point)
-    and region_grid write the same expressions inline on eps, e.g.
-    `x <= y + eps` for leq and `abs(x - y) <= eps` for close.
+    (make_spectrum, is_majorized_by, compare, product_spectra, classify_point,
+    is_feasible_closed_form, can_concentrate_bell), the range gates of
+    Tolerance, TwoQubitPair, two_qubit and RecoveryProblem, and region_grid
+    write the same expressions inline on eps, e.g. `x <= y + eps` for leq,
+    `x < y - eps` for lt and `abs(x - y) <= eps` for close.  Each gate
+    stores or uses float(v) for a real v of another type, so eps is always
+    a float.
     """
 
     __slots__ = __match_args__ = ("eps",)
 
     def __init__(self, eps: float = 1e-12):
-        if type(eps) is not float:
-            require_real("eps", eps)
-        if not (0.0 < eps < 1e-3):
-            raise OutOfRangeError(f"eps must lie in (0, 1e-3), got {eps}")
+        if not (type(eps) is float and 0.0 < eps < 1e-3):
+            # (0, 1e-3) as the closed interval of floats it holds
+            eps = require_real_in("eps", eps, 5e-324, math.nextafter(1e-3, 0.0),
+                                  "(0, 1e-3)")
         object.__setattr__(self, "eps", eps)
 
     def leq(self, x: float, y: float) -> bool:
@@ -153,12 +157,9 @@ class TwoQubitPair(FrozenValue):
     __slots__ = __match_args__ = ("a",)
 
     def __init__(self, a: float):
-        if type(a) is not float:
-            require_real("a", a)
-        if not (DEFAULT_TOL.geq(a, 0.5) and DEFAULT_TOL.leq(a, 1.0)):
-            raise OutOfRangeError(
-                f"two-qubit parameter must lie in [1/2, 1], got {a}"
-            )
+        eps = DEFAULT_TOL.eps
+        if not (type(a) is float and 0.5 - eps <= a <= 1.0 + eps):
+            a = require_real_in("a", a, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
         object.__setattr__(self, "a", a)
 
     @property
@@ -197,9 +198,8 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
         if type(w) is float:
             v = w
         else:
-            require_real("weight", w)
             try:
-                v = float(w)
+                v = require_real("weight", w)
             except OverflowError as exc:
                 raise NonFiniteWeightError("weight beyond the float range") from exc
         if not 0.0 < v <= 1.0:
@@ -226,12 +226,12 @@ def two_qubit(a_raw: float, tol: Tolerance = DEFAULT_TOL) -> TwoQubitPair:
     Accepts any value in [0, 1] (within eps) and canonicalizes to
     a = max(a_raw, 1 - a_raw), so the stored parameter lies in [1/2, 1].
     """
-    require_tolerance(tol)
-    if type(a_raw) is not float:
-        require_real("coefficient", a_raw)
-    if not (tol.geq(a_raw, 0.0) and tol.leq(a_raw, 1.0)):
-        raise OutOfRangeError(f"coefficient must lie in [0, 1], got {a_raw}")
-    a = min(1.0, max(0.0, float(a_raw)))
+    if type(tol) is not Tolerance:
+        require_tolerance(tol)
+    eps = tol.eps
+    if not (type(a_raw) is float and -eps <= a_raw <= 1.0 + eps):
+        a_raw = require_real_in("coefficient", a_raw, -eps, 1.0 + eps, "[0, 1]")
+    a = min(1.0, max(0.0, a_raw))
     return TwoQubitPair(max(a, 1.0 - a))
 
 
@@ -247,6 +247,8 @@ def entropy(s: SchmidtSpectrum | Iterable[float]) -> float:
 
     s is a SchmidtSpectrum or any iterable of its weights, such as a tuple.
     """
+    if type(s) is SchmidtSpectrum:
+        s = s.values  # the tuple itself, not SchmidtSpectrum.__iter__
     h = 0.0
     for v in s:
         if v > 0.0:

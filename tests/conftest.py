@@ -2,11 +2,13 @@
 
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 from entrecovery import RecoveryProblem, SchmidtSpectrum, make_spectrum
 
 _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+sys.path.append(str(_SCRIPTS))  # the scripts import side_by_side, as when run as files
 
 
 def load_script(name: str):
@@ -19,6 +21,7 @@ def load_script(name: str):
 
 _equivalence_sweep = load_script("equivalence_sweep")
 grid_equivalence = load_script("grid_equivalence")
+scalar_equivalence = load_script("scalar_equivalence")
 
 
 def random_simplex(rng: random.Random, dim: int) -> SchmidtSpectrum:

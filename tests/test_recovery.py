@@ -75,8 +75,10 @@ def test_problem_rejects_non_real_parameters(bad):
 
 
 def test_problem_accepts_other_reals():
+    # stored as float(v), so no other real type reaches the deciders or the grid
     assert RecoveryProblem(0.5, 1).b == 1
-    assert RecoveryProblem(Fraction(7, 10), 0.8).a == Fraction(7, 10)
+    a = RecoveryProblem(Fraction(7, 10), 0.8).a
+    assert type(a) is float and a == 0.7
 
 
 # each scalar entry point with one wrong-typed argument, and a real of another
@@ -109,6 +111,41 @@ def test_scalar_entry_points_check_types(call, name, bad, good):
                        match=f"^{name} must be a .+, got {re.escape(repr(bad))}$"):
         call(bad)
     call(good)
+
+
+# Reals of other types are converted to float at the gate.  Left as they were,
+# float16 p and q made the deciders compute in float16 and answer wrongly:
+# exact arithmetic agrees with the float answers below
+def test_float16_arguments_give_the_float_verdicts():
+    prob = RecoveryProblem(0.5635931220696964, 0.5956235034546776)
+    p, q = np.float16(0.5049), np.float16(0.5005)  # 0.5048828125, 0.50048828125
+    assert classify_point(prob, p, q) is RegionClass.TRUE_RECOVERY
+    assert classify_point(prob, float(p), float(q)) is RegionClass.TRUE_RECOVERY
+    prob = RecoveryProblem(0.9235573939163237, 0.9604800484217871)
+    p, q = np.float16(0.69921875), np.float16(0.671875)
+    assert is_feasible_closed_form(prob, p, q) is False
+    assert is_feasible_closed_form(prob, float(p), float(q)) is False
+    # a*p = 0.4997..., which float16 rounds to 1/2
+    assert can_concentrate_bell(0.5950068474527218, np.float16(0.83984375)) is True
+    assert can_concentrate_bell(0.5950068474527218, 0.83984375) is True
+
+
+@pytest.mark.parametrize(
+    "make,n",
+    [
+        (lambda: RecoveryProblem(np.float32(0.7), np.float32(0.8)), 60),
+        (lambda: RecoveryProblem(0.7, 0.8, Tolerance(np.float16(1e-4))), 40),
+        (lambda: RecoveryProblem(Fraction(7, 10), 0.8), 16),
+        (lambda: RecoveryProblem(0.7, 0.8, Tolerance(Fraction(1, 10_000))), 16),
+    ],
+    ids=["float32-problem", "float16-eps", "Fraction-a", "Fraction-eps"],
+)
+def test_grids_of_other_real_types_match_classify_point(make, n):
+    # the float32 and float16 grids differed from classify_point on 22 of
+    # 3721 and 7 of 1681 cells; region_grid on a Fraction died in numpy
+    prob = make()
+    assert type(prob.a) is type(prob.b) is type(prob.tol.eps) is float
+    _assert_grid_matches_scalar_classifier(prob, n)
 
 
 class _SubProblem(RecoveryProblem):

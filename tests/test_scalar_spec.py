@@ -1,11 +1,13 @@
 """The scalar deciders against a spec written with the public Tolerance methods.
 
-make_spectrum, is_majorized_by, compare and classify_point write the
+make_spectrum, is_majorized_by, compare, classify_point,
+is_feasible_closed_form, can_concentrate_bell and the range gates of
+RecoveryProblem, product_spectra and the other scalar entry points write the
 Tolerance comparisons inline on eps.  The spec below spells each decision with
 the methods instead (leq on prefix sums added left to right, close, lt) and
 must give the same answer on seeded draws: unequal lengths, permutations,
 y = (1-t)x + t e1, and points within a few eps of each boundary line of the
-recovery region.
+recovery region, of ap = 1/2 and of the ends of the range.
 """
 
 import math
@@ -20,16 +22,24 @@ from entrecovery import (
     OutOfRangeError,
     RecoveryProblem,
     RegionClass,
+    SchmidtSpectrum,
     Tolerance,
+    can_concentrate_bell,
     classify_point,
     compare,
     entropy,
+    is_feasible_closed_form,
     is_majorized_by,
     make_spectrum,
     transform_verdict,
 )
-from entrecovery.recovery import _ladder
-from conftest import doubly_stochastic_mix, random_simplex, sample_problem
+from entrecovery.recovery import _ladder, _sorted_products
+from conftest import (
+    doubly_stochastic_mix,
+    random_simplex,
+    sample_problem,
+    scalar_equivalence,
+)
 
 EPSILONS = (1e-15, 1e-12, 9e-4)
 
@@ -179,25 +189,8 @@ def test_classify_point_on_exact_eps_edges(p, q, want):
     assert classify_point(prob, p, q) is want is spec_classify(prob, p, q)
 
 
-def on_boundary_line(rng, line, a, b, off):
-    # (p, q) on one of the six lines of the region, then off along the axis
-    # that crosses it
-    u = rng.uniform(0.5, 1.0)
-    if line == 0:  # q = p
-        p, q = u, u + off
-    elif line == 1:  # a p = b q
-        p = rng.uniform(max(0.5, 0.5 * b / a), 1.0)
-        q = a * p / b + off
-    elif line == 2:  # (1-b)(1-q) = (1-a)(1-p)
-        p = rng.uniform(1.0 - 0.5 * (1.0 - b) / (1.0 - a), 1.0)
-        q = 1.0 - (1.0 - a) * (1.0 - p) / (1.0 - b) + off
-    elif line == 3:  # p = b
-        p, q = b + off, u
-    elif line == 4:  # q = a
-        p, q = u, a + off
-    else:  # q = b
-        p, q = u, b + off
-    return min(1.0, max(0.5, p)), min(1.0, max(0.5, q))
+on_boundary_line = scalar_equivalence.boundary_point
+range_end = scalar_equivalence.range_end
 
 
 @pytest.mark.parametrize("eps", EPSILONS)
@@ -267,3 +260,130 @@ def test_make_spectrum_canonical_values_on_edge_weights(raw, want, eps):
     if callable(want):
         want = want(eps)
     assert bits(make_spectrum(raw(eps), Tolerance(eps)).values) == bits(want)
+
+
+def spec_unit(v, tol):
+    # the range gate of every p, q and a: [1/2, 1] within eps
+    return tol.geq(v, 0.5) and tol.leq(v, 1.0)
+
+
+def spec_problem(a, b, tol):
+    # True when RecoveryProblem accepts (a, b)
+    return tol.geq(a, 0.5) and tol.leq(b, 1.0) and tol.lt(a, b)
+
+
+def spec_closed_form(prob, p, q):
+    # the answer, or OutOfRangeError where a gate raises it
+    t, a, b = prob.tol, prob.a, prob.b
+    if not (t.lt(b, 1.0) and spec_unit(p, t) and spec_unit(q, t)):
+        return OutOfRangeError
+    return (t.lt(q, p) and t.leq(a * p, b * q)
+            and t.leq((1.0 - b) * (1.0 - q), (1.0 - a) * (1.0 - p))
+            and t.leq(p, b) and t.lt(q, b))
+
+
+def spec_bell(a, p, tol):
+    if not (spec_unit(a, tol) and spec_unit(p, tol)):
+        return OutOfRangeError
+    return tol.lt(a * p, 0.5)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OutOfRangeError:
+        return OutOfRangeError
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_recovery_problem_gate_matches_the_spec(eps):
+    # a and b at k eps from the ends of the range, and b - a at k eps / 2
+    # from eps
+    rng = random.Random(f"problem:{eps}")
+    tol = Tolerance(eps)
+    pairs = [(math.nan, 0.8), (0.7, math.nan)]
+    for k in range(-3, 4):
+        pairs += [(0.5 - eps + k * eps, rng.uniform(0.6, 1.0)),
+                  (rng.uniform(0.5, 0.9), 1.0 + eps + k * eps),
+                  (range_end(rng, eps), range_end(rng, eps))]
+        a = rng.uniform(0.5, 0.99)
+        pairs.append((a, a + eps + k * eps / 2))
+    seen = set()
+    for a, b in pairs:
+        want = spec_problem(a, b, tol)
+        got = outcome(RecoveryProblem, a, b, tol)
+        if want:
+            assert (got.a, got.b, got.tol) == (a, b, tol)
+        else:
+            assert got is OutOfRangeError, (a, b)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_closed_form_and_bell_match_the_spec_near_every_line(eps):
+    # points at k eps from each line of the closed form, from ap = 1/2 and
+    # from the ends of the range, on problems with b at k eps from 1 as well
+    rng = random.Random(f"closed:{eps}")
+    tol = Tolerance(eps)
+    seen = set()
+    for _ in range(25):
+        base = sample_problem(rng)
+        b = rng.choice((base.b, 1.0 + rng.choice((-3, -2, -1, 1)) * eps))
+        prob = RecoveryProblem(base.a, b, tol)
+        points = [(rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)) for _ in range(5)]
+        for k in range(-3, 4):
+            points += [on_boundary_line(rng, line, prob.a, prob.b, k * eps)
+                       for line in range(7)]
+            u = rng.uniform(0.5, 1.0)
+            points += [(range_end(rng, eps), u), (u, range_end(rng, eps))]
+        for p, q in points:
+            want = spec_closed_form(prob, p, q)
+            assert outcome(is_feasible_closed_form, prob, p, q) is want, (prob, p, q)
+            seen.add(("closed", want))
+            for a in (prob.a, range_end(rng, eps)):
+                want = spec_bell(a, p, tol)
+                assert outcome(can_concentrate_bell, a, p, tol) is want, (a, p, tol)
+                seen.add(("bell", want))
+    assert seen == {(f, w) for f in ("closed", "bell") for w in (True, False, OutOfRangeError)}
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_compare_on_identical_values(eps):
+    # identical entries return EQUAL before the loop; the spec agrees, and a
+    # zero-padded or permuted twin still takes the loop or the shortcut alike
+    tol = Tolerance(eps)
+    rng = random.Random(f"identical:{eps}")
+    pairs = [((0.5, 0.5), (0.5, 0.5)), ((1.0, -0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0,)),
+             ((0.4, 0.3, 0.2, 0.1), (0.4, 0.3, 0.2, 0.1))]
+    for _ in range(50):
+        x = random_simplex(rng, rng.randint(1, 16))
+        y = make_spectrum(rng.sample(x.values, len(x)), tol)
+        pairs.append((x.values, y.values))
+    for x, y in pairs:
+        sx, sy = SchmidtSpectrum(x), SchmidtSpectrum(y)
+        assert compare(sx, sy, tol) is spec_compare(x, y, tol) is Comparability.EQUAL
+        assert transform_verdict(sx, sy, tol).comparability is Comparability.EQUAL
+
+
+def reference_products(c, v):
+    return sorted((c * v, c * (1.0 - v), (1.0 - c) * v, (1.0 - c) * (1.0 - v)),
+                  reverse=True)
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_sorted_products_bit_for_bit(eps):
+    # the sort, sign of zero included, where c or v lies within eps outside
+    # [1/2, 1] (b in (1, 1 + eps], a in [1/2 - eps, 1/2)) and inside it
+    rng = random.Random(f"products:{eps}")
+    ends = [0.5 - eps, math.nextafter(0.5, 0.0), 0.5, 1.0, math.nextafter(1.0, 2.0),
+            1.0 + eps]
+    cs = ends + [1.0 + rng.uniform(0.0, eps) for _ in range(10)]
+    cs += [0.5 - rng.uniform(0.0, eps) for _ in range(10)]
+    cs += [rng.uniform(0.5, 1.0) for _ in range(10)]
+    vs = ends + [range_end(rng, eps) for _ in range(10)]
+    vs += [0.5 + i / 64 for i in range(33)] + [rng.uniform(0.5, 1.0) for _ in range(10)]
+    for c in cs:
+        for v in vs:
+            got = [u.hex() for u in _sorted_products(c, v)]
+            assert got == [u.hex() for u in reference_products(c, v)], (c, v)
