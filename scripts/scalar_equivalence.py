@@ -9,7 +9,7 @@ can_concentrate_bell, bell_bound, product_spectra, make_spectrum, compare
 and transform_verdict, at eps 1e-15, 1e-12 and 9e-4.  A quarter of the
 (p, q) points sit at k*eps (k = -3..3) from a boundary line of the region,
 from ap = 1/2 or from an end of the range [1/2 - eps, 1 + eps]; some
-arguments are out of range or NaN, and a quarter of the spectrum pairs are
+arguments are out of range or NaN, and a fifth of the spectrum pairs are
 permutations of each other.  An outcome is the result, each float compared
 bit for bit, or the exception's type and message.  Prints each call whose
 outcomes differ and the count of identical calls per entry point.  Exit
@@ -141,40 +141,30 @@ def _canon(v):
     return type(v).__name__, repr(v)
 
 
-def _outcome(fn, *args):
+def _call(fn, *args):
+    """(result, outcome) of fn(*args): the result, or None when it raises, and
+    the result in comparable form, or the exception's type and message."""
     try:
-        return _canon(fn(*args))
+        result = fn(*args)
     except Exception as exc:  # the exception is the outcome
-        return "raises", type(exc).__name__, str(exc)
-
-
-def _value(fn, *args):
-    # fn(*args), or None when it raises (its outcome is compared on its own)
-    try:
-        return fn(*args)
-    except Exception:
-        return None
+        return None, ("raises", type(exc).__name__, str(exc))
+    return result, _canon(result)
 
 
 def outcomes(m, eps, a, b, p, q, x_raw, y_raw):
     """Each entry point's outcome in package m on one draw, by name."""
     tol = m.Tolerance(eps)
-    prob = _value(m.RecoveryProblem, a, b, tol)
-    x, y = _value(m.make_spectrum, x_raw, tol), _value(m.make_spectrum, y_raw, tol)
-    out = {
-        "RecoveryProblem": _outcome(m.RecoveryProblem, a, b, tol),
-        "can_concentrate_bell": _outcome(m.can_concentrate_bell, a, p, tol),
-        "make_spectrum": (_outcome(m.make_spectrum, x_raw, tol),
-                          _outcome(m.make_spectrum, y_raw, tol)),
-    }
+    out = {"can_concentrate_bell": _call(m.can_concentrate_bell, a, p, tol)[1]}
+    prob, out["RecoveryProblem"] = _call(m.RecoveryProblem, a, b, tol)
+    (x, x_out), (y, y_out) = _call(m.make_spectrum, x_raw, tol), _call(m.make_spectrum, y_raw, tol)
+    out["make_spectrum"] = x_out, y_out
     if prob is not None:
-        out["classify_point"] = _outcome(m.classify_point, prob, p, q)
-        out["is_feasible_closed_form"] = _outcome(m.is_feasible_closed_form, prob, p, q)
-        out["bell_bound"] = _outcome(m.bell_bound, prob)
-        out["product_spectra"] = _outcome(m.product_spectra, prob, p, q)
+        for name in ("classify_point", "is_feasible_closed_form", "product_spectra"):
+            out[name] = _call(getattr(m, name), prob, p, q)[1]
+        out["bell_bound"] = _call(m.bell_bound, prob)[1]
     if x is not None and y is not None:
-        out["compare"] = _outcome(m.compare, x, y, tol)
-        out["transform_verdict"] = _outcome(m.transform_verdict, x, y, tol)
+        out["compare"] = _call(m.compare, x, y, tol)[1]
+        out["transform_verdict"] = _call(m.transform_verdict, x, y, tol)[1]
     return out
 
 
