@@ -43,6 +43,22 @@ def sample_tuple(rng, margin):
         return a, b, p, q
 
 
+def disagreements(rng, samples, margin=1e-6):
+    """(a, b, p, q, closed form, oracle) for each of samples sample_tuple
+    draws on which is_feasible_closed_form disagrees with the oracle,
+    is_majorized_by(x, y) and q < p on the product spectra (x, y)."""
+    found = []
+    for _ in range(samples):
+        a, b, p, q = sample_tuple(rng, margin)
+        prob = RecoveryProblem(a, b)
+        fast = is_feasible_closed_form(prob, p, q)
+        x, y = product_spectra(prob, p, q)
+        slow = is_majorized_by(x, y) and q < p
+        if fast is not slow:
+            found.append((a, b, p, q, fast, slow))
+    return found
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=100_000,
@@ -59,28 +75,19 @@ def main():
     if not 0.0 < args.margin <= 1e-2:
         parser.error("--margin must lie in (0, 0.01]")
 
-    rng = random.Random(args.seed)
-    disagreements = []
     started = time.perf_counter()
-    for _ in range(args.samples):
-        a, b, p, q = sample_tuple(rng, args.margin)
-        prob = RecoveryProblem(a, b)
-        fast = is_feasible_closed_form(prob, p, q)
-        x, y = product_spectra(prob, p, q)
-        slow = is_majorized_by(x, y) and q < p
-        if fast is not slow:
-            disagreements.append((a, b, p, q, fast, slow))
+    found = disagreements(random.Random(args.seed), args.samples, args.margin)
     elapsed = time.perf_counter() - started
 
-    for a, b, p, q, fast, slow in disagreements[:20]:
+    for a, b, p, q, fast, slow in found[:20]:
         print(f"disagree: a={a!r} b={b!r} p={p!r} q={q!r} "
               f"closed_form={fast} oracle={slow}")
-    if len(disagreements) > 20:
-        print(f"... plus {len(disagreements) - 20} more")
-    verdict = "PASS" if not disagreements else "FAIL"
-    print(f"{verdict} {args.samples} samples, {len(disagreements)} disagreements, "
+    if len(found) > 20:
+        print(f"... plus {len(found) - 20} more")
+    verdict = "PASS" if not found else "FAIL"
+    print(f"{verdict} {args.samples} samples, {len(found)} disagreements, "
           f"{elapsed:.2f} s (seed {args.seed})")
-    return 1 if disagreements else 0
+    return 1 if found else 0
 
 
 if __name__ == "__main__":

@@ -1,35 +1,18 @@
-#!/usr/bin/env python3
-"""Compare region_grid codes, counts and CSV bytes with those of another revision.
+"""The grid families that scripts/side_by_side.py compares across revisions.
 
-Extracts REV with `git archive REV | tar -x` into a temporary directory,
-imports its package side by side with the one in this checkout's src/
-(scripts/side_by_side.py), and
-classifies the same grid families with both: seeded random problems, the
-ulp-gap family, open reverse brackets at n = 1500/2000/3000, the open
-forward bracket, a lone open reverse row on a grid with no equal-spectra
-cell (one fixture, and b = p_i + eps draws), equal spectra at wide eps, the
-3 x 3 block of complete cells, problems at the edge of the range (a just
-below 1/2, b just above 1), and four-decimal problems at the benchmark's
-resolutions.  Prints each grid whose codes, counts or CSV bytes differ and
-the count of identical grids per family.  The CSV bytes are each side's own
-write_region_csv output, compared by sha256 as they stream, so no grid's
-CSV is held in memory.  Exit status is 0 when every grid matches, 1
-otherwise.
-
-    python3 scripts/grid_equivalence.py --parent HEAD~1
+Seeded random problems, the ulp-gap family, open reverse brackets at
+n = 1500/2000/3000, the open forward bracket, a lone open reverse row on a
+grid with no equal-spectra cell (one fixture, and b = p_i + eps draws),
+equal spectra at wide eps, the 3 x 3 block of complete cells, problems at
+the edge of the range (a just below 1/2, b just above 1), and four-decimal
+problems at the benchmark's resolutions.  A grid's outcome is its counts
+and the sha256 of its codes bytes and of its own write_region_csv output,
+hashed as it streams, so no grid and no CSV is held once it is made.
 """
 
-import argparse
-import collections
 import hashlib
 import math
 import random
-import sys
-import tempfile
-
-import numpy as np
-
-from side_by_side import ROOT, load_package, load_revision
 
 # b - a is eps and a few ulps: the reverse brackets of rows p < a stay open
 OPEN_BRACKETS = (0.9440145989529203, 0.9440145989529222, 1.7488832477578608e-15)
@@ -140,54 +123,13 @@ class _Sha256Sink:
         self.hash.update(text.encode())
 
 
-def _census(module, a, b, eps, n):
+def outcomes(module, draw):
+    """{family: (counts, sha256 of the codes, sha256 of the CSV)} of the grid
+    that draw = (family, a, b, eps, n) names, made by package module."""
+    family, a, b, eps, n = draw
     grid = module.region_grid(module.RecoveryProblem(a, b, module.Tolerance(eps)), n)
     sink = _Sha256Sink()
     module.cli.write_region_csv(grid, sink)
     counts = {cls.value: k for cls, k in grid.counts().items()}
-    return grid.codes, counts, sink.hash.digest()
-
-
-def compare(mine, theirs, max_n: int = 3000):
-    """Classify every family grid, with n capped at max_n, in both modules.
-
-    A grid differs when its codes, counts or CSV bytes do.  Returns (grids
-    compared, list of (family, a, b, eps, n) that differ).
-    """
-    compared, diffs = 0, []
-    for family, a, b, eps, n in families(0):
-        n = min(n, max_n)
-        codes, counts, csv = _census(mine, a, b, eps, n)
-        want_codes, want_counts, want_csv = _census(theirs, a, b, eps, n)
-        compared += 1
-        if (counts != want_counts or csv != want_csv
-                or not np.array_equal(codes, want_codes)):
-            diffs.append((family, a, b, eps, n))
-    return compared, diffs
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True,
-                        help="git revision to compare with, e.g. HEAD~1")
-    args = parser.parse_args()
-
-    mine = load_package(ROOT / "src", "entrecovery")
-    with tempfile.TemporaryDirectory() as tmp:
-        try:
-            theirs = load_revision(args.parent, tmp, "entrecovery_parent")
-        except ValueError as exc:
-            parser.error(str(exc))
-        compared, diffs = compare(mine, theirs)
-    for family, a, b, eps, n in diffs:
-        print(f"differ: {family} a={a!r} b={b!r} eps={eps!r} n={n}")
-    grids = collections.Counter(family for family, *_ in families(0))
-    differ = collections.Counter(family for family, *_ in diffs)
-    for family, k in grids.items():
-        print(f"{family}: {k - differ[family]} of {k} identical")
-    print(f"{compared - len(diffs)} of {compared} grids identical to {args.parent}")
-    return 1 if diffs else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    codes = hashlib.sha256(grid.codes.tobytes()).hexdigest()
+    return {family: (counts, codes, sink.hash.hexdigest())}

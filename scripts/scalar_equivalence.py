@@ -1,32 +1,19 @@
-#!/usr/bin/env python3
-"""Compare the outcomes of the scalar entry points with another revision's.
+"""The seeded scalar draws that scripts/side_by_side.py compares across revisions.
 
-Extracts REV with `git archive REV | tar -x` into a temporary directory and
-imports its package side by side with the one in this checkout's src/
-(scripts/side_by_side.py).  Both get the same seeded float draws through
-RecoveryProblem, classify_point, is_feasible_closed_form,
-can_concentrate_bell, bell_bound, product_spectra, make_spectrum, compare
-and transform_verdict, at eps 1e-15, 1e-12 and 9e-4.  A quarter of the
-(p, q) points sit at k*eps (k = -3..3) from a boundary line of the region,
-from ap = 1/2 or from an end of the range [1/2 - eps, 1 + eps]; some
-arguments are out of range or NaN, and a fifth of the spectrum pairs are
-permutations of each other.  An outcome is the result, each float compared
-bit for bit, or the exception's type and message.  Prints each call whose
-outcomes differ and the count of identical calls per entry point.  Exit
-status is 0 when every call matches, 1 otherwise.
-
-    python3 scripts/scalar_equivalence.py --parent HEAD~1
+Each draw goes through RecoveryProblem, classify_point,
+is_feasible_closed_form, can_concentrate_bell, bell_bound, product_spectra,
+make_spectrum, compare and transform_verdict, at eps 1e-15, 1e-12 and
+9e-4.  A quarter of the (p, q) points sit at k*eps (k = -3..3) from a
+boundary line of the region, from ap = 1/2 or from an end of the range
+[1/2 - eps, 1 + eps]; some arguments are out of range or NaN, and a fifth
+of the spectrum pairs are permutations of each other.  An outcome is the
+result, each float compared bit for bit, or the exception's type and
+message.
 """
 
-import argparse
-import collections
 import enum
 import math
 import random
-import sys
-import tempfile
-
-from side_by_side import ROOT, load_package, load_revision
 
 EPSILONS = (1e-15, 1e-12, 9e-4)
 DRAWS = 20_000
@@ -119,7 +106,7 @@ def _weights(rng, eps):
     return x, y
 
 
-def draws(seed: int, count: int):
+def draws(seed: int, count: int = DRAWS):
     """Yield (eps, a, b, p, q, x_raw, y_raw) for every call to compare."""
     rng = random.Random(seed)
     for _ in range(count):
@@ -151,8 +138,10 @@ def _call(fn, *args):
     return result, _canon(result)
 
 
-def outcomes(m, eps, a, b, p, q, x_raw, y_raw):
-    """Each entry point's outcome in package m on one draw, by name."""
+def outcomes(m, draw):
+    """Each entry point's outcome in package m on draw = (eps, a, b, p, q,
+    x_raw, y_raw), by name."""
+    eps, a, b, p, q, x_raw, y_raw = draw
     tol = m.Tolerance(eps)
     out = {"can_concentrate_bell": _call(m.can_concentrate_bell, a, p, tol)[1]}
     prob, out["RecoveryProblem"] = _call(m.RecoveryProblem, a, b, tol)
@@ -166,47 +155,3 @@ def outcomes(m, eps, a, b, p, q, x_raw, y_raw):
         out["compare"] = _call(m.compare, x, y, tol)[1]
         out["transform_verdict"] = _call(m.transform_verdict, x, y, tol)[1]
     return out
-
-
-def compare(mine, theirs, count: int = DRAWS, seed: int = 0):
-    """Run every draw through both packages.
-
-    Returns (calls compared per entry point, list of (name, draw, mine's
-    outcome, theirs) for each call whose outcomes differ).  A call one side
-    cannot make, for want of a problem or spectra, counts as differing.
-    """
-    calls, diffs = collections.Counter(), []
-    for draw in draws(seed, count):
-        got, want = outcomes(mine, *draw), outcomes(theirs, *draw)
-        for name in sorted(got.keys() | want.keys()):
-            calls[name] += 1
-            if got.get(name) != want.get(name):
-                diffs.append((name, draw, got.get(name), want.get(name)))
-    return calls, diffs
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True,
-                        help="git revision to compare with, e.g. HEAD~1")
-    args = parser.parse_args()
-
-    mine = load_package(ROOT / "src", "entrecovery")
-    with tempfile.TemporaryDirectory() as tmp:
-        try:
-            theirs = load_revision(args.parent, tmp, "entrecovery_parent")
-        except ValueError as exc:
-            parser.error(str(exc))
-        calls, diffs = compare(mine, theirs)
-    for name, draw, got, want in diffs:
-        print(f"differ: {name} on (eps, a, b, p, q, x, y) = {draw!r}: {got!r} against {want!r}")
-    differ = collections.Counter(name for name, *_ in diffs)
-    for name, k in sorted(calls.items()):
-        print(f"{name}: {k - differ[name]} of {k} identical")
-    total = sum(calls.values())
-    print(f"{total - len(diffs)} of {total} calls identical to {args.parent}")
-    return 1 if diffs else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -145,9 +145,11 @@ def write_region_csv(grid: RegionGrid, fh) -> None:
     codes = grid.codes
     m = grid.n + 1
     labels = [f"{cls.value}\n" for cls in RegionClass]
-    if codes.max() >= len(labels):
+    # a caller's codes may be signed; region_grid's uint8 codes skip the min
+    if codes.max() >= len(labels) or (codes.dtype.kind != "u" and codes.min() < 0):
         # class_at raises OutOfRangeError naming the first such cell and its code
-        grid.class_at(*divmod(int(np.argmax(codes >= len(labels))), m))
+        bad = (codes < 0) | (codes >= len(labels))
+        grid.class_at(*divmod(int(np.argmax(bad)), m))
     coords = [f"{grid.p_value(i)!r}," for i in range(m)]
     tails = [[c + label for c in coords] for label in labels]
     rows_per_block = max(1, _BLOCK_CELLS // m)

@@ -51,6 +51,17 @@ class ResolutionTooLargeError(InputDomainError):
     """Requested grid resolution exceeds the supported maximum."""
 
 
+def require_instance(name: str, v, cls: type) -> None:
+    """Raise InvalidTypeError unless v is an instance of cls.
+
+    The slow path of every check of a value-class argument (a spectrum, a
+    tol, a prob): callers test `type(v) is cls` inline and call this only
+    when that fails.
+    """
+    if not isinstance(v, cls):
+        raise InvalidTypeError(f"{name} must be a {cls.__name__}, got {v!r}")
+
+
 def require_real(name: str, v) -> float:
     """Return float(v), which overflows beyond the float range; raise
     InvalidTypeError unless v is a real number other than a bool."""

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import enum
 
-from .spectra import DEFAULT_TOL, SchmidtSpectrum, Tolerance, require_tolerance
+from .errors import require_instance
+from .spectra import DEFAULT_TOL, SchmidtSpectrum, Tolerance
 
 __all__ = ["Comparability", "is_majorized_by", "compare"]
 
@@ -40,7 +41,10 @@ def is_majorized_by(
     prefix comparison is non-strict within eps.
     """
     if type(tol) is not Tolerance:
-        require_tolerance(tol)
+        require_instance("tol", tol, Tolerance)
+    if not (type(x) is SchmidtSpectrum and type(y) is SchmidtSpectrum):
+        require_instance("x", x, SchmidtSpectrum)
+        require_instance("y", y, SchmidtSpectrum)
     xv, yv = x.values, y.values
     if len(xv) != len(yv):
         xv, yv = _padded(x, y)
@@ -66,7 +70,10 @@ def compare(
     reported as Equal so the classification stays total.
     """
     if type(tol) is not Tolerance:
-        require_tolerance(tol)
+        require_instance("tol", tol, Tolerance)
+    if not (type(x) is SchmidtSpectrum and type(y) is SchmidtSpectrum):
+        require_instance("x", x, SchmidtSpectrum)
+        require_instance("y", y, SchmidtSpectrum)
     xv, yv = x.values, y.values
     if xv == yv:  # identical entries: every elementwise test holds
         return Comparability.EQUAL

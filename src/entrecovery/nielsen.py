@@ -7,6 +7,7 @@ target's.  Entanglement entropy can only decrease along such a conversion.
 
 from __future__ import annotations
 
+from .errors import require_instance
 from .majorization import Comparability, compare, is_majorized_by
 from .spectra import DEFAULT_TOL, FrozenValue, SchmidtSpectrum, Tolerance, entropy
 
@@ -17,6 +18,9 @@ def can_transform(
     source: SchmidtSpectrum, target: SchmidtSpectrum, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
     """True iff the source converts deterministically into the target."""
+    if not (type(source) is SchmidtSpectrum and type(target) is SchmidtSpectrum):
+        require_instance("source", source, SchmidtSpectrum)
+        require_instance("target", target, SchmidtSpectrum)
     return is_majorized_by(source, target, tol)
 
 
@@ -58,6 +62,9 @@ def transform_verdict(
     1e-12, source (1/4 + 8e-13, 1/4 + 8e-13, 1/4 - 8e-13, 1/4 - 8e-13) is Equal
     to the uniform target, yet its second prefix sum exceeds 1/2 by 1.6e-12.
     """
+    if not (type(source) is SchmidtSpectrum and type(target) is SchmidtSpectrum):
+        require_instance("source", source, SchmidtSpectrum)
+        require_instance("target", target, SchmidtSpectrum)
     return TransformVerdict(
         compare(source, target, tol), entropy(source), entropy(target)
     )

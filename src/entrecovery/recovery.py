@@ -31,6 +31,7 @@ from .errors import (
     InvalidTypeError,
     OutOfRangeError,
     ResolutionTooLargeError,
+    require_instance,
     require_real_in,
 )
 from .majorization import is_majorized_by
@@ -40,7 +41,6 @@ from .spectra import (
     SchmidtSpectrum,
     Tolerance,
     entropy,
-    require_tolerance,
 )
 
 if TYPE_CHECKING:
@@ -73,7 +73,7 @@ class RecoveryProblem(FrozenValue):
 
     def __init__(self, a: float, b: float, tol: Tolerance = DEFAULT_TOL):
         if type(tol) is not Tolerance:
-            require_tolerance(tol)
+            require_instance("tol", tol, Tolerance)
         eps = tol.eps  # tol.geq(a, 0.5), tol.leq(b, 1.0) and tol.lt(a, b) inline
         if not (type(a) is float and type(b) is float
                 and a >= 0.5 - eps and b <= 1.0 + eps and a < b - eps):
@@ -147,13 +147,6 @@ _LADDER_TABLE = bytes(
 ).ljust(256, b"\xff")
 
 
-def _require_problem(prob) -> None:
-    # the one check of every prob argument; callers test `type(prob) is
-    # RecoveryProblem` first and call this only for other types
-    if not isinstance(prob, RecoveryProblem):
-        raise InvalidTypeError(f"prob must be a RecoveryProblem, got {prob!r}")
-
-
 def _require_int(name: str, v) -> int:
     # a plain int, so RegionGrid's axis values are plain floats
     if isinstance(v, bool) or not hasattr(v, "__index__"):
@@ -201,7 +194,7 @@ def product_spectra(
 ) -> tuple[SchmidtSpectrum, SchmidtSpectrum]:
     """Joint spectra (source x auxiliary-before, target x auxiliary-after)."""
     if type(prob) is not RecoveryProblem:
-        _require_problem(prob)
+        require_instance("prob", prob, RecoveryProblem)
     eps = prob.tol.eps  # the range gate, tol.geq(v, 0.5) and tol.leq(v, 1.0)
     if not (type(p) is float and type(q) is float
             and 0.5 - eps <= p <= 1.0 + eps and 0.5 - eps <= q <= 1.0 + eps):
@@ -236,7 +229,7 @@ def is_feasible_closed_form(prob: RecoveryProblem, p: float, q: float) -> bool:
     independent ground-truth route and the two are tested for equivalence.
     """
     if type(prob) is not RecoveryProblem:
-        _require_problem(prob)
+        require_instance("prob", prob, RecoveryProblem)
     a, b, eps = prob.a, prob.b, prob.tol.eps
     if not b < 1.0 - eps:  # tol.lt(b, 1.0)
         raise OutOfRangeError("closed-form region requires b < 1")
@@ -282,7 +275,7 @@ def classify_point(prob: RecoveryProblem, p: float, q: float) -> RegionClass:
 def bell_bound(prob: RecoveryProblem) -> float:
     """Largest auxiliary parameter p for which a Bell pair (q = 1/2) is reachable."""
     if type(prob) is not RecoveryProblem:
-        _require_problem(prob)
+        require_instance("prob", prob, RecoveryProblem)
     return prob.b / (2.0 * prob.a)
 
 
@@ -296,7 +289,7 @@ def can_concentrate_bell(a: float, p: float, tol: Tolerance = DEFAULT_TOL) -> bo
     (1/2, 1/2, 0, 0), but only with equality in the first prefix.
     """
     if type(tol) is not Tolerance:
-        require_tolerance(tol)
+        require_instance("tol", tol, Tolerance)
     eps = tol.eps  # the range gate and tol.lt(a * p, 0.5), inline
     if not (type(a) is float and type(p) is float
             and 0.5 - eps <= a <= 1.0 + eps and 0.5 - eps <= p <= 1.0 + eps):
@@ -338,7 +331,7 @@ class RegionGrid(FrozenValue):
     def class_at(self, i: int, j: int) -> RegionClass:
         i, j = self._check_index(i), self._check_index(j)
         code = self.codes[i, j]
-        if code >= len(_CLASSES):  # codes is writable, so a caller can store any byte
+        if not 0 <= code < len(_CLASSES):  # codes is writable: a caller can store any value
             raise OutOfRangeError(
                 f"grid cell ({i}, {j}) holds code {code}, which no class has")
         return _CLASSES[code]
@@ -375,7 +368,7 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     no key plane and no float array per cell.
     """
     if type(prob) is not RecoveryProblem:
-        _require_problem(prob)
+        require_instance("prob", prob, RecoveryProblem)
     import numpy as np
     n = _require_int("grid resolution", n)
     if n < 1:

@@ -13,10 +13,10 @@ from collections.abc import Iterable
 
 from .errors import (
     EmptyInputError,
-    InvalidTypeError,
     NegativeWeightError,
     NonFiniteWeightError,
     NotNormalizedError,
+    require_instance,
     require_real,
     require_real_in,
 )
@@ -42,7 +42,7 @@ class FrozenValue:
     classes never compare equal.  Assigning or deleting an attribute raises
     AttributeError.  Pickle and copy rebuild an instance by calling its class
     with its fields.  Public to the package's modules but not exported, like
-    require_tolerance.
+    errors.require_instance.
     """
 
     __slots__ = ()
@@ -114,16 +114,6 @@ class Tolerance(FrozenValue):
 DEFAULT_TOL = Tolerance()
 
 
-def require_tolerance(tol) -> None:
-    """Raise InvalidTypeError unless tol is a Tolerance.
-
-    The one check of every tol argument; public to the package's modules but
-    not exported, like errors.require_real.
-    """
-    if not isinstance(tol, Tolerance):
-        raise InvalidTypeError(f"tol must be a Tolerance, got {tol!r}")
-
-
 class SchmidtSpectrum(FrozenValue):
     """Probability vector of squared Schmidt coefficients, sorted non-increasing.
 
@@ -190,7 +180,7 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
     infinite or beyond the float range), NegativeWeightError, NotNormalizedError
     """
     if type(tol) is not Tolerance:
-        require_tolerance(tol)
+        require_instance("tol", tol, Tolerance)
     eps = tol.eps
     vals = []
     clamp = False  # set by a weight outside (0, 1]; -0.0 must become 0.0
@@ -227,7 +217,7 @@ def two_qubit(a_raw: float, tol: Tolerance = DEFAULT_TOL) -> TwoQubitPair:
     a = max(a_raw, 1 - a_raw), so the stored parameter lies in [1/2, 1].
     """
     if type(tol) is not Tolerance:
-        require_tolerance(tol)
+        require_instance("tol", tol, Tolerance)
     eps = tol.eps
     if not (type(a_raw) is float and -eps <= a_raw <= 1.0 + eps):
         a_raw = require_real_in("coefficient", a_raw, -eps, 1.0 + eps, "[0, 1]")
@@ -237,6 +227,9 @@ def two_qubit(a_raw: float, tol: Tolerance = DEFAULT_TOL) -> TwoQubitPair:
 
 def tensor(s: SchmidtSpectrum, t: SchmidtSpectrum) -> SchmidtSpectrum:
     """Spectrum of the joint state: all pairwise products, re-sorted."""
+    if not (type(s) is SchmidtSpectrum and type(t) is SchmidtSpectrum):
+        require_instance("s", s, SchmidtSpectrum)
+        require_instance("t", t, SchmidtSpectrum)
     prods = [u * v for u in s.values for v in t.values]
     prods.sort(reverse=True)
     return SchmidtSpectrum(tuple(prods))

@@ -1,27 +1,32 @@
 """Shared construction helpers for the test suite."""
 
-import importlib.util
 import random
 import sys
 from pathlib import Path
 
+import entrecovery
 from entrecovery import RecoveryProblem, SchmidtSpectrum, make_spectrum
 
-_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-sys.path.append(str(_SCRIPTS))  # the scripts import side_by_side, as when run as files
+# the scripts, imported by name as they import each other when run as files
+sys.path.append(str(Path(__file__).resolve().parent.parent / "scripts"))
+import equivalence_sweep
+import grid_equivalence
+import scalar_equivalence
+import side_by_side
 
 
-def load_script(name: str):
-    """Import scripts/<name>.py as a module of that name."""
-    spec = importlib.util.spec_from_file_location(name, _SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_equivalence_sweep = load_script("equivalence_sweep")
-grid_equivalence = load_script("grid_equivalence")
-scalar_equivalence = load_script("scalar_equivalence")
+def compare_with_itself(checks):
+    """side_by_side.compare of this tree's package against a second import of
+    the same tree, which leaves sys.modules afterwards."""
+    name = "entrecovery_side_by_side"
+    side = side_by_side.load_package(Path(entrecovery.__file__).resolve().parent.parent, name)
+    try:
+        assert side.classify_point is not entrecovery.classify_point
+        assert side.region_grid is not entrecovery.region_grid
+        return side_by_side.compare(entrecovery, side, checks)
+    finally:
+        for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+            del sys.modules[key]
 
 
 def random_simplex(rng: random.Random, dim: int) -> SchmidtSpectrum:
@@ -107,10 +112,3 @@ def sample_outer_point(rng, prob, region, margin=1e-6):
             continue
         return p, rng.uniform(lo, hi)
     return None
-
-
-def sample_equivalence_tuple(rng, margin=1e-6):
-    """Random (a, b, p, q) with every feasibility decision line at distance
-    >= margin, so strict-vs-nonstrict eps choices cannot flip any verdict.
-    One sampler with scripts/equivalence_sweep.py, which defines it."""
-    return _equivalence_sweep.sample_tuple(rng, margin)

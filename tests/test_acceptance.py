@@ -16,7 +16,6 @@ from entrecovery import (
     can_transform,
     classify_point,
     entropy,
-    is_feasible_closed_form,
     is_majorized_by,
     product_spectra,
     region_grid,
@@ -26,8 +25,8 @@ from entrecovery.cli import main
 
 from conftest import (
     doubly_stochastic_mix,
+    equivalence_sweep,
     random_simplex,
-    sample_equivalence_tuple,
     sample_feasible_point,
     sample_outer_point,
     sample_problem,
@@ -81,17 +80,8 @@ def test_a2_bell_concentration_example(capsys):
 
 
 def test_a3_closed_form_matches_oracle():
-    rng = random.Random(30303)
-    disagreements = 0
     t0 = time.perf_counter()
-    for _ in range(100_000):
-        a, b, p, q = sample_equivalence_tuple(rng)
-        prob = RecoveryProblem(a, b)
-        fast = is_feasible_closed_form(prob, p, q)
-        x, y = product_spectra(prob, p, q)
-        slow = is_majorized_by(x, y) and q < p
-        if fast is not slow:
-            disagreements += 1
+    disagreements = len(equivalence_sweep.disagreements(random.Random(30303), 100_000))
     elapsed = time.perf_counter() - t0
     ok = disagreements == 0 and elapsed < 5.0
     report(

@@ -1,31 +1,30 @@
-"""Smoke tests of scripts/grid_equivalence.py without git: this tree against
-itself, imported side by side, at n <= 16."""
+"""Smoke tests of the grid families of scripts/grid_equivalence.py through
+scripts/side_by_side.py without git: this tree against itself, imported side
+by side, and against a changed grid code or CSV byte, at n <= 16."""
 
-import sys
 import types
-from pathlib import Path
 
 import entrecovery
 import entrecovery.cli
-from conftest import grid_equivalence
+from conftest import compare_with_itself, grid_equivalence, side_by_side
 
-SRC = Path(entrecovery.__file__).resolve().parent.parent
 FAMILIES = {"random", "ulp-gap", "open-brackets", "open-forward-bracket",
             "open-row-no-equal", "row-plus-eps", "wide-eps-equal", "swap-block",
             "edge-of-range", "four-decimal"}
+SWAP_BLOCK_16 = ("swap-block", *grid_equivalence.SWAP_BLOCK, 16)
+
+
+def small_grids():
+    """The (outcomes, draws) check of every family grid, with n capped at 16."""
+    draws = ((f, a, b, eps, min(n, 16)) for f, a, b, eps, n in grid_equivalence.families(0))
+    return [(grid_equivalence.outcomes, draws)]
 
 
 def test_grid_equivalence_finds_a_tree_equal_to_itself():
-    name = "entrecovery_side_by_side"
-    side = grid_equivalence.load_package(SRC, name)
-    try:
-        assert side.region_grid is not entrecovery.region_grid
-        compared, diffs = grid_equivalence.compare(entrecovery, side, max_n=16)
-    finally:
-        for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
-            del sys.modules[key]
+    compared, diffs = compare_with_itself(small_grids())
     assert {f for f, *_ in grid_equivalence.families(0)} == FAMILIES
-    assert compared == sum(1 for _ in grid_equivalence.families(0))
+    assert set(compared) == FAMILIES
+    assert sum(compared.values()) == sum(1 for _ in grid_equivalence.families(0))
     assert diffs == []
 
 
@@ -42,8 +41,8 @@ def test_grid_equivalence_reports_each_grid_that_differs():
         region_grid=region_grid,
         cli=entrecovery.cli,
     )
-    _, diffs = grid_equivalence.compare(changed, entrecovery, max_n=16)
-    assert diffs == [("swap-block", *grid_equivalence.SWAP_BLOCK, 16)] * 3
+    _, diffs = side_by_side.compare(changed, entrecovery, small_grids())
+    assert [(name, draw) for name, draw, *_ in diffs] == [("swap-block", SWAP_BLOCK_16)] * 3
 
 
 def test_grid_equivalence_reports_a_grid_whose_csv_bytes_differ():
@@ -58,5 +57,7 @@ def test_grid_equivalence_reports_a_grid_whose_csv_bytes_differ():
         region_grid=entrecovery.region_grid,
         cli=types.SimpleNamespace(write_region_csv=write_region_csv),
     )
-    _, diffs = grid_equivalence.compare(changed, entrecovery, max_n=16)
-    assert diffs == [("swap-block", *grid_equivalence.SWAP_BLOCK, 16)] * 3
+    _, diffs = side_by_side.compare(changed, entrecovery, small_grids())
+    assert [(name, draw) for name, draw, *_ in diffs] == [("swap-block", SWAP_BLOCK_16)] * 3
+    for *_, got, want in diffs:  # the same codes and counts, other CSV bytes
+        assert got[:2] == want[:2] and got[2] != want[2]

@@ -1,17 +1,52 @@
 import random
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrecovery import (
     Comparability,
+    InvalidTypeError,
+    SchmidtSpectrum,
     Tolerance,
+    TwoQubitPair,
+    can_transform,
     compare,
     entropy,
     is_majorized_by,
     make_spectrum,
+    tensor,
+    transform_verdict,
 )
 from conftest import doubly_stochastic_mix, random_simplex
+
+
+class _SubSpectrum(SchmidtSpectrum):
+    pass
+
+
+# each spectrum argument of each function that takes two: (function, name, position)
+SPECTRUM_ARGS = [(fn, name, pos)
+                 for fn, names in ((is_majorized_by, "xy"), (compare, "xy"),
+                                   (can_transform, ("source", "target")),
+                                   (transform_verdict, ("source", "target")),
+                                   (tensor, "st"))
+                 for pos, name in enumerate(names)]
+
+
+@pytest.mark.parametrize("bad", [(0.7, 0.3), [0.7, 0.3], None, "x", TwoQubitPair(0.7)],
+                         ids=repr)
+@pytest.mark.parametrize("fn,name,pos", SPECTRUM_ARGS,
+                         ids=[f"{fn.__name__}-{name}" for fn, name, _ in SPECTRUM_ARGS])
+def test_spectrum_arguments_check_type(fn, name, pos, bad):
+    args = [make_spectrum([0.7, 0.3])] * 2
+    args[pos] = bad
+    with pytest.raises(InvalidTypeError,
+                       match=f"^{name} must be a SchmidtSpectrum, got {re.escape(repr(bad))}$"):
+        fn(*args)
+    args[pos] = _SubSpectrum((0.7, 0.3))
+    fn(*args)
 
 
 def test_two_qubit_example():

@@ -1,8 +1,11 @@
 """README "Library quick start" runs as written and gives the results its
-comments state."""
+comments state, and each "Command line" transcript is what the program prints."""
 
 import ast
+import shlex
 from pathlib import Path
+
+from entrecovery.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +39,36 @@ def test_readme_quick_start_gives_its_commented_results():
     counts = shown[3][1]
     assert set(counts) == set(namespace["RegionClass"])
     assert sum(counts.values()) == 201 ** 2
+
+
+def command_line_transcripts() -> list[tuple[list[str], str]]:
+    """(argv, shown stdout) of each `$ entrecovery ...` block of README
+    "Command line" that shows output."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    found = []
+    for block in section.split("```text\n")[1:]:
+        command, _, shown = block.split("```", 1)[0].partition("\n")
+        if shown:
+            found.append((shlex.split(command.removeprefix("$ entrecovery ")), shown))
+    return found
+
+
+def test_readme_command_line_transcripts_match_the_program(capsys):
+    transcripts = command_line_transcripts()
+    assert [argv[0] for argv, _ in transcripts] == ["transform", "classify", "bell"]
+    for argv, shown in transcripts:
+        code = main(argv)
+        out = capsys.readouterr().out
+        # "..." stands for lines left out: the lines after it are a
+        # subsequence of the rest of the output, ending with its last line
+        head, dots, tail = shown.partition("...\n")
+        if dots:
+            lines, head, tail = out.splitlines(), head.splitlines(), tail.splitlines()
+            assert lines[:len(head)] == head, (argv, out)
+            rest = iter(lines[len(head):])
+            assert all(line in rest for line in tail), (argv, out)
+            assert lines[-1] == tail[-1], (argv, out)
+        else:
+            assert out == shown
+        assert shown.endswith(f"status: {code}\n")

@@ -1,28 +1,24 @@
-"""Smoke tests of scripts/scalar_equivalence.py without git: this tree against
-itself, imported side by side, and against one altered entry point."""
+"""Smoke tests of the scalar draws of scripts/scalar_equivalence.py through
+scripts/side_by_side.py without git: this tree against itself, imported side
+by side, and against one altered entry point."""
 
-import sys
 import types
-from pathlib import Path
 
 import entrecovery
-from conftest import scalar_equivalence
+from conftest import compare_with_itself, scalar_equivalence, side_by_side
 
-SRC = Path(entrecovery.__file__).resolve().parent.parent
 ENTRY_POINTS = {"RecoveryProblem", "classify_point", "is_feasible_closed_form",
                 "can_concentrate_bell", "bell_bound", "product_spectra",
                 "make_spectrum", "compare", "transform_verdict"}
 
 
+def first_draws():
+    """The (outcomes, draws) check of the first 1000 scalar draws."""
+    return [(scalar_equivalence.outcomes, scalar_equivalence.draws(0, 1000))]
+
+
 def test_scalar_equivalence_finds_a_tree_equal_to_itself():
-    name = "entrecovery_scalar_side_by_side"
-    side = scalar_equivalence.load_package(SRC, name)
-    try:
-        assert side.classify_point is not entrecovery.classify_point
-        calls, diffs = scalar_equivalence.compare(entrecovery, side, count=1000)
-    finally:
-        for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
-            del sys.modules[key]
+    calls, diffs = compare_with_itself(first_draws())
     assert set(calls) == ENTRY_POINTS
     assert calls["RecoveryProblem"] == 1000
     assert diffs == []
@@ -37,7 +33,7 @@ def test_scalar_equivalence_reports_an_altered_entry_point():
     changed = types.SimpleNamespace(
         **{name: getattr(entrecovery, name) for name in ENTRY_POINTS | {"Tolerance"}})
     changed.can_concentrate_bell = can_concentrate_bell
-    calls, diffs = scalar_equivalence.compare(changed, entrecovery, count=1000)
+    _, diffs = side_by_side.compare(changed, entrecovery, first_draws())
     assert {name for name, *_ in diffs} == {"can_concentrate_bell"}
     for _, (eps, a, b, p, *_), got, want in diffs:
         assert abs(a * p - 0.5) <= eps
