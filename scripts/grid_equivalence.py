@@ -7,12 +7,16 @@ equal spectra at wide eps, the 3 x 3 block of complete cells, problems at
 the edge of the range (a just below 1/2, b just above 1), and four-decimal
 problems at the benchmark's resolutions.  A grid's outcome is its counts
 and the sha256 of its codes bytes and of its own write_region_csv output,
-hashed as it streams, so no grid and no CSV is held once it is made.
+hashed as it streams, so no grid and no CSV is held once it is made; a grid
+that raises has the exception's type and message as its outcome, as a
+scalar call does.
 """
 
 import hashlib
 import math
 import random
+
+from scalar_equivalence import call
 
 # b - a is eps and a few ulps: the reverse brackets of rows p < a stay open
 OPEN_BRACKETS = (0.9440145989529203, 0.9440145989529222, 1.7488832477578608e-15)
@@ -123,13 +127,18 @@ class _Sha256Sink:
         self.hash.update(text.encode())
 
 
-def outcomes(module, draw):
-    """{family: (counts, sha256 of the codes, sha256 of the CSV)} of the grid
-    that draw = (family, a, b, eps, n) names, made by package module."""
-    family, a, b, eps, n = draw
+def _grid(module, a, b, eps, n):
+    # counts, sha256 of the codes and sha256 of the CSV of one grid
     grid = module.region_grid(module.RecoveryProblem(a, b, module.Tolerance(eps)), n)
     sink = _Sha256Sink()
     module.cli.write_region_csv(grid, sink)
     counts = {cls.value: k for cls, k in grid.counts().items()}
-    codes = hashlib.sha256(grid.codes.tobytes()).hexdigest()
-    return {family: (counts, codes, sink.hash.hexdigest())}
+    return counts, hashlib.sha256(grid.codes.tobytes()).hexdigest(), sink.hash.hexdigest()
+
+
+def outcomes(module, draw):
+    """{family: outcome} of the grid that draw = (family, a, b, eps, n) names,
+    made by package module: its (counts, sha256 of the codes, sha256 of the
+    CSV) in comparable form, or the exception's type and message."""
+    family, *problem = draw
+    return {family: call(_grid, module, *problem)[1]}

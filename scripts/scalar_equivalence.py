@@ -128,9 +128,10 @@ def _canon(v):
     return type(v).__name__, repr(v)
 
 
-def _call(fn, *args):
+def call(fn, *args):
     """(result, outcome) of fn(*args): the result, or None when it raises, and
-    the result in comparable form, or the exception's type and message."""
+    the result in comparable form, or the exception's type and message.
+    grid_equivalence takes its grid outcomes from it too."""
     try:
         result = fn(*args)
     except Exception as exc:  # the exception is the outcome
@@ -143,15 +144,15 @@ def outcomes(m, draw):
     x_raw, y_raw), by name."""
     eps, a, b, p, q, x_raw, y_raw = draw
     tol = m.Tolerance(eps)
-    out = {"can_concentrate_bell": _call(m.can_concentrate_bell, a, p, tol)[1]}
-    prob, out["RecoveryProblem"] = _call(m.RecoveryProblem, a, b, tol)
-    (x, x_out), (y, y_out) = _call(m.make_spectrum, x_raw, tol), _call(m.make_spectrum, y_raw, tol)
+    out = {"can_concentrate_bell": call(m.can_concentrate_bell, a, p, tol)[1]}
+    prob, out["RecoveryProblem"] = call(m.RecoveryProblem, a, b, tol)
+    (x, x_out), (y, y_out) = call(m.make_spectrum, x_raw, tol), call(m.make_spectrum, y_raw, tol)
     out["make_spectrum"] = x_out, y_out
     if prob is not None:
         for name in ("classify_point", "is_feasible_closed_form", "product_spectra"):
-            out[name] = _call(getattr(m, name), prob, p, q)[1]
-        out["bell_bound"] = _call(m.bell_bound, prob)[1]
+            out[name] = call(getattr(m, name), prob, p, q)[1]
+        out["bell_bound"] = call(m.bell_bound, prob)[1]
     if x is not None and y is not None:
-        out["compare"] = _call(m.compare, x, y, tol)[1]
-        out["transform_verdict"] = _call(m.transform_verdict, x, y, tol)[1]
+        out["compare"] = call(m.compare, x, y, tol)[1]
+        out["transform_verdict"] = call(m.transform_verdict, x, y, tol)[1]
     return out

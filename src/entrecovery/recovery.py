@@ -338,8 +338,13 @@ class RegionGrid(FrozenValue):
 
     def counts(self) -> dict[RegionClass, int]:
         import numpy as np
-        return {cls: int(np.count_nonzero(self.codes == _CLASS_CODE[cls]))
-                for cls in RegionClass}
+        codes = self.codes
+        counts = {cls: int(np.count_nonzero(codes == _CLASS_CODE[cls])) for cls in RegionClass}
+        if sum(counts.values()) != codes.size:
+            # class_at raises OutOfRangeError naming the first cell no class has
+            bad = (codes < 0) | (codes >= len(_CLASSES))
+            self.class_at(*divmod(int(np.argmax(bad)), self.n + 1))
+        return counts
 
 
 def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:

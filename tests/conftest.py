@@ -9,8 +9,8 @@ from entrecovery import RecoveryProblem, SchmidtSpectrum, make_spectrum
 
 # the scripts, imported by name as they import each other when run as files
 sys.path.append(str(Path(__file__).resolve().parent.parent / "scripts"))
-import equivalence_sweep
 import grid_equivalence
+import reproduce_examples
 import scalar_equivalence
 import side_by_side
 

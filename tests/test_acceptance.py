@@ -1,18 +1,18 @@
-"""End-to-end acceptance gate.
+"""End-to-end acceptance gate over sampled properties.
 
-Each test checks one headline guarantee of the package and prints a single
-PASS or FAIL line (run with -s to see them on success).  Tolerances are the
-ones the rest of the suite uses: 1e-12 for frozen arithmetic, 1e-9 for
-accumulated entropy sums, 1e-6 sampling margins around decision boundaries.
+Each test checks one headline guarantee of the package on seeded draws and
+prints a single PASS or FAIL line (run with -s to see them on success).  The
+paper's fixed examples and the closed-form/oracle sweep are checked once, by
+scripts/reproduce_examples.py, which tests/test_processes.py runs.
+Tolerances are the ones the rest of the suite uses: 1e-9 for accumulated
+entropy sums, 1e-6 sampling margins around decision boundaries.
 """
 
 import random
-import time
 
 from entrecovery import (
     RecoveryProblem,
     RegionClass,
-    can_concentrate_bell,
     can_transform,
     classify_point,
     entropy,
@@ -25,7 +25,6 @@ from entrecovery.cli import main
 
 from conftest import (
     doubly_stochastic_mix,
-    equivalence_sweep,
     random_simplex,
     sample_feasible_point,
     sample_outer_point,
@@ -36,59 +35,6 @@ from conftest import (
 def report(label, ok):
     print(("PASS " if ok else "FAIL ") + label)
     assert ok, label
-
-
-def close(got, want, tol=1e-12):
-    return all(abs(g - w) <= tol for g, w in zip(got, want)) and len(got) == len(want)
-
-
-def test_a1_true_recovery_worked_example():
-    prob = RecoveryProblem(0.7, 0.8)
-    x, y = product_spectra(prob, 0.6, 0.55)
-    ok = close(x.values, (0.42, 0.28, 0.18, 0.12))
-    ok = ok and close(y.values, (0.44, 0.36, 0.11, 0.09))
-    ok = ok and is_majorized_by(x, y)
-    run_x, run_y = 0.0, 0.0
-    for vx, vy, wx, wy in zip(x.values, y.values, (0.42, 0.70, 0.88), (0.44, 0.80, 0.91)):
-        run_x += vx
-        run_y += vy
-        ok = ok and abs(run_x - wx) <= 1e-12 and abs(run_y - wy) <= 1e-12
-        ok = ok and run_x <= run_y + 1e-12
-    ok = ok and classify_point(prob, 0.6, 0.55) is RegionClass.TRUE_RECOVERY
-    best = float("inf")
-    for _ in range(5):
-        t0 = time.perf_counter()
-        classify_point(prob, 0.6, 0.55)
-        best = min(best, time.perf_counter() - t0)
-    ok = ok and best < 1e-3
-    report(f"worked example is true-recovery, classified in {best * 1e6:.1f} us", ok)
-
-
-def test_a2_bell_concentration_example(capsys):
-    prob = RecoveryProblem(0.6, 0.9)
-    x, y = product_spectra(prob, 0.7, 0.5)
-    ok = close(x.values, (0.42, 0.28, 0.18, 0.12))
-    ok = ok and close(y.values, (0.45, 0.45, 0.05, 0.05))
-    ok = ok and is_majorized_by(x, y)
-    ok = ok and abs(0.6 * 0.7 - 0.42) <= 1e-12 and 0.42 < 0.5
-    ok = ok and can_concentrate_bell(0.6, 0.7)
-    code = main(["bell", "--a", "0.6", "--p", "0.7"])
-    out = capsys.readouterr().out
-    ok = ok and code == 0 and "concentratable: true" in out
-    with capsys.disabled():
-        report("bell concentration example holds and the cli agrees", ok)
-
-
-def test_a3_closed_form_matches_oracle():
-    t0 = time.perf_counter()
-    disagreements = len(equivalence_sweep.disagreements(random.Random(30303), 100_000))
-    elapsed = time.perf_counter() - t0
-    ok = disagreements == 0 and elapsed < 5.0
-    report(
-        "closed form agreed with the majorization oracle on 100000 draws "
-        f"({disagreements} disagreements, {elapsed:.2f} s)",
-        ok,
-    )
 
 
 def test_a4_regions_keep_both_recovery_kinds():

@@ -1,6 +1,7 @@
 """Smoke tests of the grid families of scripts/grid_equivalence.py through
 scripts/side_by_side.py without git: this tree against itself, imported side
-by side, and against a changed grid code or CSV byte, at n <= 16."""
+by side, and against a changed grid code or CSV byte and a grid that raises,
+at n <= 16."""
 
 import types
 
@@ -28,6 +29,13 @@ def test_grid_equivalence_finds_a_tree_equal_to_itself():
     assert diffs == []
 
 
+def stand_in(**changed):
+    """This tree's package with the names in changed replaced."""
+    names = dict(RecoveryProblem=entrecovery.RecoveryProblem, Tolerance=entrecovery.Tolerance,
+                 region_grid=entrecovery.region_grid, cli=entrecovery.cli)
+    return types.SimpleNamespace(**{**names, **changed})
+
+
 def test_grid_equivalence_reports_each_grid_that_differs():
     def region_grid(prob, n):
         grid = entrecovery.region_grid(prob, n)
@@ -35,14 +43,21 @@ def test_grid_equivalence_reports_each_grid_that_differs():
             grid.codes[0, 0] = 0
         return grid
 
-    changed = types.SimpleNamespace(
-        RecoveryProblem=entrecovery.RecoveryProblem,
-        Tolerance=entrecovery.Tolerance,
-        region_grid=region_grid,
-        cli=entrecovery.cli,
-    )
-    _, diffs = side_by_side.compare(changed, entrecovery, small_grids())
+    _, diffs = side_by_side.compare(stand_in(region_grid=region_grid), entrecovery, small_grids())
     assert [(name, draw) for name, draw, *_ in diffs] == [("swap-block", SWAP_BLOCK_16)] * 3
+
+
+def test_grid_equivalence_reports_a_grid_that_raises():
+    def region_grid(prob, n):
+        if (prob.a, prob.b) == grid_equivalence.SWAP_BLOCK[:2]:
+            raise IndexError("grid index 17 outside 0..16")
+        return entrecovery.region_grid(prob, n)
+
+    _, diffs = side_by_side.compare(stand_in(region_grid=region_grid), entrecovery, small_grids())
+    assert [(name, draw) for name, draw, *_ in diffs] == [("swap-block", SWAP_BLOCK_16)] * 3
+    for *_, got, want in diffs:
+        assert got == ("raises", "IndexError", "grid index 17 outside 0..16")
+        assert want[0] != "raises"
 
 
 def test_grid_equivalence_reports_a_grid_whose_csv_bytes_differ():
@@ -51,12 +66,7 @@ def test_grid_equivalence_reports_a_grid_whose_csv_bytes_differ():
         if (grid.a, grid.b) == grid_equivalence.SWAP_BLOCK[:2]:
             fh.write("\n")
 
-    changed = types.SimpleNamespace(
-        RecoveryProblem=entrecovery.RecoveryProblem,
-        Tolerance=entrecovery.Tolerance,
-        region_grid=entrecovery.region_grid,
-        cli=types.SimpleNamespace(write_region_csv=write_region_csv),
-    )
+    changed = stand_in(cli=types.SimpleNamespace(write_region_csv=write_region_csv))
     _, diffs = side_by_side.compare(changed, entrecovery, small_grids())
     assert [(name, draw) for name, draw, *_ in diffs] == [("swap-block", SWAP_BLOCK_16)] * 3
     for *_, got, want in diffs:  # the same codes and counts, other CSV bytes

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from entrecovery import (
     Comparability,
+    InputDomainError,
     InvalidTypeError,
     OutOfRangeError,
     RecoveryProblem,
@@ -36,8 +37,8 @@ from entrecovery import (
 from entrecovery.cli import write_region_csv
 from entrecovery.recovery import MAX_GRID_N, _grid_axis
 from conftest import (
-    equivalence_sweep,
     grid_equivalence,
+    reproduce_examples,
     sample_feasible_point,
     sample_outer_point,
     sample_problem,
@@ -147,6 +148,61 @@ def test_grids_of_other_real_types_match_classify_point(make, n):
     prob = make()
     assert type(prob.a) is type(prob.b) is type(prob.tol.eps) is float
     _assert_grid_matches_scalar_classifier(prob, n)
+
+
+@st.composite
+def other_reals(draw):
+    """(v, w): a real v of another type than float, and w = float(v), or
+    +-inf for an int beyond the float range."""
+    kind = draw(st.sampled_from(["int", "numpy int", "Fraction", "float16", "float32",
+                                 "float64", "huge int"]))
+    if kind == "huge int":
+        sign = draw(st.sampled_from([1, -1]))
+        return sign * 10**400, sign * math.inf
+    if kind in ("int", "numpy int"):
+        k = draw(st.integers(-2, 3))
+        v = k if kind == "int" else draw(st.sampled_from([np.int8, np.int64]))(k)
+        return v, float(v)
+    x = draw(st.floats(0.4, 1.1) | st.floats(0.0, 2e-3) | st.sampled_from([0.5, 1.0, 1e-3]))
+    if kind == "Fraction":
+        v = Fraction(x).limit_denominator(draw(st.integers(1, 10**6)))
+    else:
+        v = getattr(np, kind)(x)
+    return v, float(v)
+
+
+# each scalar entry point by its real arguments
+REAL_ARGUMENT_CALLS = {
+    "RecoveryProblem": lambda a, b: RecoveryProblem(a, b),
+    "classify_point": lambda p, q: classify_point(_PROB, p, q),
+    "is_feasible_closed_form": lambda p, q: is_feasible_closed_form(_PROB, p, q),
+    "product_spectra": lambda p, q: product_spectra(_PROB, p, q),
+    "can_concentrate_bell": lambda a, p: can_concentrate_bell(a, p),
+    "two_qubit": lambda coefficient: two_qubit(coefficient),
+    "Tolerance": lambda eps: Tolerance(eps),
+}
+
+
+def _outcome(call, *args):
+    # the result, or the InputDomainError subclass the call raises
+    try:
+        return call(*args)
+    except InputDomainError as exc:
+        return type(exc)
+
+
+# a standing net: gates convert a real of another type with float(v), so
+# each call must answer as for float(v)
+@pytest.mark.parametrize("name", REAL_ARGUMENT_CALLS)
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_reals_of_other_types_give_the_float_outcome(name, data):
+    call = REAL_ARGUMENT_CALLS[name]
+    args = data.draw(st.lists(st.floats(0.5, 1.0), min_size=call.__code__.co_argcount,
+                              max_size=call.__code__.co_argcount))
+    k = data.draw(st.integers(0, len(args) - 1))
+    v, w = data.draw(other_reals())
+    assert _outcome(call, *args[:k], v, *args[k + 1:]) == _outcome(call, *args[:k], w, *args[k + 1:])
 
 
 class _SubProblem(RecoveryProblem):
@@ -497,7 +553,7 @@ def test_region_grids_at_one_resolution_keep_their_own_codes():
 
 def test_counts_follow_a_write_to_codes():
     # codes is writable, so counts() counts the codes as they are, not as the
-    # kernel wrote them; a code no class has is counted nowhere
+    # kernel wrote them; a code no class has is class_at's typed error
     g = region_grid(RecoveryProblem(0.7, 0.8), 20)
     before = g.counts()
     assert g.class_at(12, 8) is RegionClass.COMPLETE_RECOVERY
@@ -506,7 +562,8 @@ def test_counts_follow_a_write_to_codes():
     assert after[RegionClass.COMPLETE_RECOVERY] == before[RegionClass.COMPLETE_RECOVERY] - 1
     assert after[RegionClass.INFEASIBLE_OTHER] == before[RegionClass.INFEASIBLE_OTHER] + 1
     g.codes[0, 0] = len(RegionClass)
-    assert sum(g.counts().values()) == 21 * 21 - 1
+    with pytest.raises(OutOfRangeError, match=r"cell \(0, 0\) holds code 6"):
+        g.counts()
 
 
 def test_a_code_no_class_has_is_a_typed_error_and_writes_nothing():
@@ -531,6 +588,8 @@ def test_a_negative_code_in_a_caller_grid_is_a_typed_error_and_writes_nothing():
     with pytest.raises(OutOfRangeError, match=r"cell \(0, 1\) holds code -1"):
         write_region_csv(g, buf)
     assert buf.getvalue() == ""
+    with pytest.raises(OutOfRangeError, match=r"cell \(0, 1\) holds code -1"):
+        g.counts()
     assert g.class_at(1, 1) is RegionClass.TRIVIAL_RECOVERY
 
 
@@ -722,7 +781,7 @@ def test_region_grid_accepts_product_target():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=500, deadline=None)
 def test_closed_form_equals_oracle_with_gain(seed):
-    assert equivalence_sweep.disagreements(random.Random(seed), 1) == []
+    assert reproduce_examples.disagreements(random.Random(seed), 1) == []
 
 
 @given(st.integers(0, 2**32 - 1))
