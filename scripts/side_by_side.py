@@ -4,10 +4,12 @@
 Extracts REV with `git archive REV | tar -x` into a temporary directory
 (local git only, no worktree state), imports its package side by side with
 the one in this checkout's src/, and sends both through the same items:
-the seeded scalar draws of scripts/scalar_equivalence.py and the grid
-families of scripts/grid_equivalence.py.  Each of those two modules gives
+the seeded scalar draws of scripts/scalar_equivalence.py, the grid
+families of scripts/grid_equivalence.py and the command lines of
+scripts/cli_equivalence.py.  Each of those modules gives
 outcomes(module, draw) -> {name: outcome}: one outcome per scalar entry
-point, named after it, or one per grid, named after its family.  Prints
+point, named after it, one per grid, named after its family, or one per
+command line, named after its command.  Prints
 each outcome that differs, the identical count per name and one total.
 Exit status is 0 when every outcome matches, 1 otherwise.
 
@@ -23,6 +25,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import cli_equivalence
 import grid_equivalence
 import scalar_equivalence
 
@@ -88,6 +91,7 @@ def main():
         compared, diffs = compare(mine, theirs, [
             (scalar_equivalence.outcomes, scalar_equivalence.draws(0)),
             (grid_equivalence.outcomes, grid_equivalence.families(0)),
+            (cli_equivalence.outcomes, cli_equivalence.ARGVS),
         ])
     for name, draw, got, want in diffs:
         print(f"differ: {name} on {draw!r}: {got!r} against {want!r}")

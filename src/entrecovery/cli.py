@@ -19,6 +19,7 @@ order (p outer).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -270,7 +271,16 @@ def _cmd_bell(args, tol: Tolerance) -> dict:
             "status": 0 if ok else 1}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one, so a caller must not change it.
+
+    Building it is most of an in-process main call; parse_args keeps no
+    state between calls (each fills a fresh Namespace, and usage, errors and
+    --help go to the sys.stdout/sys.stderr of the moment, formatted at the
+    terminal width read then), so one parser serves the whole process.
+    """
     parser = argparse.ArgumentParser(
         prog="entrecovery",
         description="LOCC convertibility and entanglement recovery regions",

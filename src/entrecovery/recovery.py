@@ -77,13 +77,10 @@ class RecoveryProblem(FrozenValue):
         eps = tol.eps  # tol.geq(a, 0.5), tol.leq(b, 1.0) and tol.lt(a, b) inline
         if not (type(a) is float and type(b) is float
                 and a >= 0.5 - eps and b <= 1.0 + eps and a < b - eps):
-            # a < b within [1/2, 1] puts each of a and b there
-            if type(a) is not float:
-                a = require_real_in("a", a, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
-            if type(b) is not float:
-                b = require_real_in("b", b, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
-            if not (a >= 0.5 - eps and b <= 1.0 + eps):
-                raise OutOfRangeError(f"need 1/2 <= a and b <= 1, got a={a}, b={b}")
+            # a value out of range (NaN and inf included) is named before the
+            # order of a and b is judged, whatever its type
+            a = require_real_in("a", a, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+            b = require_real_in("b", b, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
             if not a < b - eps:
                 raise OutOfRangeError(f"need a < b strictly beyond eps, got a={a}, b={b}")
         object.__setattr__(self, "a", a)

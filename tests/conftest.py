@@ -9,6 +9,7 @@ from entrecovery import RecoveryProblem, SchmidtSpectrum, make_spectrum
 
 # the scripts, imported by name as they import each other when run as files
 sys.path.append(str(Path(__file__).resolve().parent.parent / "scripts"))
+import cli_equivalence
 import grid_equivalence
 import reproduce_examples
 import scalar_equivalence

@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import grid_equivalence
+import entrecovery
+from conftest import cli_equivalence, grid_equivalence
 from entrecovery import (
     RecoveryProblem,
     RegionClass,
@@ -576,9 +577,105 @@ def test_region_file_summary_golden(tmp_path, capsys):
     assert out == REGION_FILE_SUMMARY_GOLDEN.format(out=out_path)
 
 
+REGION_N1_CSV = ("p,q,class\n0.5,0.5,infeasible\n0.5,1.0,infeasible\n"
+                 "1.0,0.5,increasing\n1.0,1.0,infeasible\n")
+
+
 def test_region_stdout_summary_golden_json(capsys):
     code, out, err = run(capsys, "region", "--a", "0.7", "--b", "0.8", "--n", "1",
                          "--json")
-    assert (code, out) == (0, "p,q,class\n0.5,0.5,infeasible\n0.5,1.0,infeasible\n"
-                              "1.0,0.5,increasing\n1.0,1.0,infeasible\n")
+    assert (code, out) == (0, REGION_N1_CSV)
     assert err == REGION_STDOUT_SUMMARY_GOLDEN_JSON
+
+
+def test_domain_errors_name_the_value_out_of_range(capsys):
+    for value in ("inf", "nan", "0.3", "1.5"):
+        code, out, err = run(capsys, "classify", "--a", value, "--b", "0.8",
+                             "--p", "0.6", "--q", "0.55")
+        assert (code, out, err) == (2, "", f"error: a must lie in [1/2, 1], got {value}\n")
+
+
+# One parser serves every main call of a process (build_parser is cached).
+# argparse keeps nothing from one parse_args call to the next: each fills a
+# fresh Namespace, and usage, errors and --help are formatted at the
+# terminal width and printed to the sys.stdout/sys.stderr of the moment.
+
+GOLDEN_OUTCOMES = [
+    (("transform", "--source", "0.7,0.3", "--target", "0.8,0.2"), (0, TRANSFORM_GOLDEN, "")),
+    (("transform", "--source", "0.7,0.3", "--target", "0.8,0.2", "--json"),
+     (0, TRANSFORM_GOLDEN_JSON, "")),
+    (("classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.55"),
+     (0, CLASSIFY_GOLDEN, "")),
+    (("classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.55", "--json"),
+     (0, CLASSIFY_GOLDEN_JSON + "\n", "")),
+    (("bell", "--a", "0.6", "--p", "0.7", "--b", "0.9"), (0, BELL_GOLDEN, "")),
+    (("bell", "--a", "0.6", "--p", "0.7"), (0, BELL_CONCENTRATION_GOLDEN, "")),
+    (("bell", "--a", "0.7", "--p", "0.8", "--json"), (1, BELL_CONCENTRATION_GOLDEN_JSON, "")),
+    (("region", "--a", "0.7", "--b", "0.8", "--n", "1", "--json"),
+     (0, REGION_N1_CSV, REGION_STDOUT_SUMMARY_GOLDEN_JSON)),
+]
+MISSING_Q = ("classify", "--a", "0.7", "--b", "0.8", "--p", "0.6")
+
+
+def outcome(argv):
+    """(exit status or SystemExit code, stdout, stderr) of main(argv), printed
+    to streams of this call's own: a parser that kept the streams of an
+    earlier call would leave them empty."""
+    return cli_equivalence.run(entrecovery, argv)
+
+
+def fresh_outcome(argv):
+    """outcome of main(argv) on a newly built parser."""
+    cli.build_parser.cache_clear()
+    return outcome(argv)
+
+
+def test_main_builds_its_parser_once():
+    cli.build_parser.cache_clear()
+    for argv, _ in GOLDEN_OUTCOMES:
+        outcome(argv)
+    outcome(MISSING_Q)
+    outcome(("--help",))
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(GOLDEN_OUTCOMES) + 1)
+
+
+def test_golden_argvs_are_compared_across_revisions():
+    assert {argv for argv, _ in GOLDEN_OUTCOMES} <= set(cli_equivalence.ARGVS)
+
+
+@pytest.mark.parametrize("argv,want", GOLDEN_OUTCOMES,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_OUTCOMES])
+def test_reused_parser_gives_the_golden_bytes_again(argv, want):
+    assert fresh_outcome(argv) == want
+    assert outcome(argv) == want
+    status, out, err = outcome(MISSING_Q)
+    assert (status, out) == (2, "") and err.endswith("the following arguments are required: --q\n")
+    assert outcome(argv) == want
+    status, out, err = outcome(("--help",))
+    assert (status, err) == (0, "") and out.startswith("usage: entrecovery ")
+    assert outcome(argv) == want
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [MISSING_Q, ("--help",), ("classify", "--help"),
+                                  ("frobnicate",), ("classify", "--a", "x")])
+def test_reused_parser_prints_usage_and_help_as_a_fresh_one(argv):
+    first = fresh_outcome(argv)
+    assert first[0] in (0, 2) and first[1:] != ("", "")
+    for golden_argv, _ in GOLDEN_OUTCOMES:
+        outcome(golden_argv)
+    assert outcome(argv) == outcome(argv) == first
+
+
+def test_usage_error_is_formatted_at_the_width_of_the_moment(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = fresh_outcome(MISSING_Q)
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = outcome(MISSING_Q)
+    # the usage lines wrap at 40 columns; the error line after them does not
+    assert max(len(line) for line in narrow[2].splitlines()[:-1]) <= 40
+    assert narrow[2].splitlines()[-1] == wide[2].splitlines()[-1]
+    assert narrow == fresh_outcome(MISSING_Q)
+    monkeypatch.setenv("COLUMNS", "200")
+    assert outcome(MISSING_Q) == wide

@@ -83,6 +83,25 @@ def test_problem_accepts_other_reals():
     assert type(a) is float and a == 0.7
 
 
+@pytest.mark.parametrize("bad,shown", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (10**400, "inf"), (-10**400, "-inf"),
+    (math.nan, "nan"), (0.3, "0.3"), (Fraction(3, 10), "0.3"), (1.5, "1.5"),
+    (Fraction(3, 2), "1.5")])
+def test_problem_names_the_value_out_of_range_whatever_its_type(bad, shown):
+    for args, name in (((bad, 0.8), "a"), ((0.7, bad), "b")):
+        with pytest.raises(OutOfRangeError) as exc:
+            RecoveryProblem(*args)
+        assert str(exc.value) == f"{name} must lie in [1/2, 1], got {shown}"
+
+
+@pytest.mark.parametrize("a,b", [(0.8, 0.7), (0.7, 0.7), (Fraction(4, 5), Fraction(7, 10)),
+                                 (0.8, Fraction(7, 10))])
+def test_problem_order_message_only_for_values_in_range(a, b):
+    with pytest.raises(OutOfRangeError) as exc:
+        RecoveryProblem(a, b)
+    assert str(exc.value) == f"need a < b strictly beyond eps, got a={float(a)}, b={float(b)}"
+
+
 # each scalar entry point with one wrong-typed argument, and a real of another
 # type that the same argument accepts
 _PROB = RecoveryProblem(0.7, 0.8)

@@ -1,11 +1,13 @@
-"""Smoke tests of the scalar draws of scripts/scalar_equivalence.py through
-scripts/side_by_side.py without git: this tree against itself, imported side
-by side, and against one altered entry point."""
+"""Smoke tests of the scalar draws of scripts/scalar_equivalence.py and the
+command lines of scripts/cli_equivalence.py through scripts/side_by_side.py
+without git: this tree against itself, imported side by side, against one
+altered entry point and against a CLI that prints other bytes."""
 
 import types
 
 import entrecovery
-from conftest import compare_with_itself, scalar_equivalence, side_by_side
+import entrecovery.cli
+from conftest import cli_equivalence, compare_with_itself, scalar_equivalence, side_by_side
 
 ENTRY_POINTS = {"RecoveryProblem", "classify_point", "is_feasible_closed_form",
                 "can_concentrate_bell", "bell_bound", "product_spectra",
@@ -38,3 +40,31 @@ def test_scalar_equivalence_reports_an_altered_entry_point():
     for _, (eps, a, b, p, *_), got, want in diffs:
         assert abs(a * p - 0.5) <= eps
         assert (got, want) == (("bool", "True"), ("bool", "False"))
+
+
+CLI_CHECK = [(cli_equivalence.outcomes, cli_equivalence.ARGVS)]
+
+
+def test_cli_equivalence_finds_a_tree_equal_to_itself():
+    calls, diffs = compare_with_itself(CLI_CHECK)
+    assert calls == {"cli transform": 5, "cli classify": 10, "cli bell": 3, "cli region": 2,
+                     "cli --help": 1}
+    assert diffs == []
+    # the list covers both SystemExit codes and every exit status
+    statuses = {cli_equivalence.run(entrecovery, argv)[0] for argv in cli_equivalence.ARGVS}
+    assert statuses == {0, 1, 2}
+
+
+def test_cli_equivalence_reports_a_command_that_prints_other_bytes():
+    def main(argv):
+        status = entrecovery.cli.main(argv)
+        if argv[0] == "bell":
+            print()
+        return status
+
+    changed = types.SimpleNamespace(cli=types.SimpleNamespace(main=main))
+    _, diffs = side_by_side.compare(changed, entrecovery, CLI_CHECK)
+    bells = [argv for argv in cli_equivalence.ARGVS if argv[0] == "bell"]
+    assert [(name, argv) for name, argv, *_ in diffs] == [("cli bell", argv) for argv in bells]
+    for *_, got, want in diffs:  # the same status and stderr, stdout one line longer
+        assert got[0::2] == want[0::2] and got[1] != want[1]
