@@ -1,9 +1,10 @@
 """The command lines that scripts/side_by_side.py compares across revisions.
 
 A fixed list of argvs, each run in process through the package's cli.main:
-the golden transcripts of tests/test_cli.py, a usage error and --help (both
-end in SystemExit), a CLI usage error, and the domain errors of
-out-of-range, NaN and infinite coefficients.  An outcome is the exit status
+the golden transcripts of tests/test_cli.py, the other verdicts and exit
+statuses that its tests reach, a usage error and --help (both end in
+SystemExit), CLI usage errors, and the domain errors of out-of-range, NaN
+and infinite coefficients.  An outcome is the exit status
 (or the SystemExit code) with the exact stdout and stderr.
 """
 
@@ -22,16 +23,23 @@ ARGVS = (
     ("bell", "--a", "0.6", "--p", "0.7"),
     ("bell", "--a", "0.7", "--p", "0.8", "--json"),
     ("region", "--a", "0.7", "--b", "0.8", "--n", "1", "--json"),
-    # other verdicts
+    # other verdicts: every class and exit status that tests/test_cli.py reaches
     ("transform", "--a", "0.3", "--b", "0.8"),
     ("transform", "--source", "0.63,0.27,0.07,0.03", "--target", "0.64,0.16,0.16,0.04"),
+    ("transform", "--source", "0.5,0.5", "--target", "0.5,0.5"),
+    ("transform", "--source", "0.8,0.2", "--target", "0.7,0.3"),
+    ("transform", "--source", "0.3,0.7", "--target", "0.2,0.8"),
     ("classify", "--a", "0.7", "--b", "0.8", "--p", "0.9", "--q", "0.8"),
+    ("classify", "--a", "0.7", "--b", "0.8", "--p", "0.8", "--q", "0.7"),
+    ("classify", "--a", "0.7", "--b", "0.8", "--p", "0.9", "--q", "0.55"),
+    ("bell", "--a", "0.6", "--p", "0.7", "--b", "1.0"),
     # argparse's own exits: a missing argument, and --help
     ("classify", "--a", "0.7", "--b", "0.8", "--p", "0.6"),
     ("--help",),
     ("classify", "--help"),
     # errors the commands raise
     ("transform", "--source", "0.7,0.3"),
+    ("classify", "--a", "0.7", "--b", "1.0", "--p", "0.6", "--q", "0.55"),
     ("classify", "--a", "nan", "--b", "0.8", "--p", "0.6", "--q", "0.55"),
     ("classify", "--a", "0.7", "--b", "nan", "--p", "0.6", "--q", "0.55"),
     ("classify", "--a", "0.3", "--b", "0.8", "--p", "0.6", "--q", "0.55"),

@@ -76,7 +76,9 @@ def _point(rng, a, b, eps):
     return rng.choice(((math.nan, 0.7), (0.7, math.nan)))
 
 
-def _simplex(rng, dim):
+def simplex(rng, dim):
+    """A random probability vector of dim weights, each drawn from [0.05, 1]
+    before normalization; tests/conftest.py builds its spectra from it."""
     raw = [rng.uniform(0.05, 1.0) for _ in range(dim)]
     total = sum(raw)
     return [v / total for v in raw]
@@ -85,10 +87,10 @@ def _simplex(rng, dim):
 def _weights(rng, eps):
     # two raw weight lists: independent, y = (1-t)x + t e1, a permutation
     # (identical once sorted), or entries moved by k*eps; a few invalid
-    x = _simplex(rng, rng.randint(1, 16))
+    x = simplex(rng, rng.randint(1, 16))
     shape = rng.randrange(5)
     if shape == 0:
-        y = _simplex(rng, rng.randint(1, 16))
+        y = simplex(rng, rng.randint(1, 16))
     elif shape == 1:
         t = rng.choice((rng.randint(0, 3) * eps, rng.uniform(0.0, 0.5)))
         y = [(1.0 - t) * v for v in x]

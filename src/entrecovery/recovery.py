@@ -301,7 +301,9 @@ class RegionGrid(FrozenValue):
     codes[i, j] stores the class of (p_i, q_j) with p_i = 1/2 + i/(2n) and
     q_j = 1/2 + j/(2n), both exact float expressions, as an index into the
     RegionClass definition order (complete, true, trivial, incomparable,
-    increasing, infeasible).  A grid equals only itself.
+    increasing, infeasible).  A grid equals only itself.  codes must be an
+    integer ndarray of shape (n + 1, n + 1), else InvalidTypeError; a, b and
+    n are trusted, as region_grid passes them.
     """
 
     __slots__ = __match_args__ = ("a", "b", "n", "codes")
@@ -309,6 +311,13 @@ class RegionGrid(FrozenValue):
     __hash__ = object.__hash__
 
     def __init__(self, a: float, b: float, n: int, codes: np.ndarray):
+        import numpy as np
+        if not (type(codes) is np.ndarray and codes.dtype.kind in "iu"
+                and codes.shape == (n + 1, n + 1)):
+            shown = (f"{codes.dtype} array of shape {codes.shape}"
+                     if isinstance(codes, np.ndarray) else type(codes).__name__)
+            raise InvalidTypeError(
+                f"codes must be an integer ndarray of shape ({n + 1}, {n + 1}), got {shown}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "n", n)

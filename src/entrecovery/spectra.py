@@ -13,6 +13,7 @@ from collections.abc import Iterable
 
 from .errors import (
     EmptyInputError,
+    InvalidTypeError,
     NegativeWeightError,
     NonFiniteWeightError,
     NotNormalizedError,
@@ -175,16 +176,22 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
 
     Raises
     ------
-    InvalidTypeError (a weight that is not a real number or is a bool, or a
-    tol that is not a Tolerance), EmptyInputError, NonFiniteWeightError (NaN,
-    infinite or beyond the float range), NegativeWeightError, NotNormalizedError
+    InvalidTypeError (a raw that is not iterable, a weight that is not a
+    real number or is a bool, or a tol that is not a Tolerance),
+    EmptyInputError, NonFiniteWeightError (NaN, infinite or beyond the float
+    range), NegativeWeightError, NotNormalizedError.  A TypeError that raw's
+    own iterator raises part-way propagates unchanged.
     """
     if type(tol) is not Tolerance:
         require_instance("tol", tol, Tolerance)
     eps = tol.eps
+    try:
+        weights = iter(raw)
+    except TypeError:
+        raise InvalidTypeError(f"raw must be an iterable of weights, got {raw!r}") from None
     vals = []
     clamp = False  # set by a weight outside (0, 1]; -0.0 must become 0.0
-    for w in raw:
+    for w in weights:
         if type(w) is float:
             v = w
         else:
@@ -239,6 +246,9 @@ def entropy(s: SchmidtSpectrum | Iterable[float]) -> float:
     """Entanglement entropy -sum(v * log2(v)) in ebits, with 0*log(0) = 0.
 
     s is a SchmidtSpectrum or any iterable of its weights, such as a tuple.
+    Like direct SchmidtSpectrum construction, it trusts its input and checks
+    neither type nor range: entropy([-0.5]) is 0.0, and entropy(None) raises
+    TypeError.  make_spectrum is the checked route for unvalidated weights.
     """
     if type(s) is SchmidtSpectrum:
         s = s.values  # the tuple itself, not SchmidtSpectrum.__iter__

@@ -32,9 +32,7 @@ def compare_with_itself(checks):
 
 def random_simplex(rng: random.Random, dim: int) -> SchmidtSpectrum:
     """Uniform-ish random probability vector of the given dimension."""
-    raw = [rng.uniform(0.05, 1.0) for _ in range(dim)]
-    total = sum(raw)
-    return make_spectrum([v / total for v in raw])
+    return make_spectrum(scalar_equivalence.simplex(rng, dim))
 
 
 def doubly_stochastic_mix(

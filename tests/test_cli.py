@@ -21,52 +21,10 @@ from entrecovery import (
 from entrecovery import cli
 from entrecovery.cli import main, write_region_csv
 
-TRANSFORM_GOLDEN = """\
-command: transform
-source: (0.7, 0.3)
-target: (0.8, 0.2)
-eps: 1e-12
-verdict: forward
-forward: true
-backward: false
-entropy_source: 0.881290899231
-entropy_target: 0.721928094887
-status: 0
-"""
-
-BELL_GOLDEN = """\
-command: bell
-a: 0.6
-p: 0.7
-b: 0.9
-eps: 1e-12
-bound: 0.75
-feasible_with_residual: true
-status: 0
-"""
-
-CLASSIFY_GOLDEN_JSON = (
-    '{"command": "classify", "inputs": {"a": 0.7, "b": 0.8, "p": 0.6, '
-    '"q": 0.55, "eps": 1e-12}, "results": {"class": "true-recovery", '
-    '"joint_before": [0.42, 0.28, 0.18, 0.12], '
-    '"joint_after": [0.44, 0.36, 0.11, 0.09], '
-    '"entropy_source": 0.881290899231, "entropy_target": 0.721928094887, '
-    '"entropy_aux_before": 0.970950594455, '
-    '"entropy_aux_after": 0.992774453988, '
-    '"recovered": 0.0218238595331}, "status": 0}'
-)
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_transform_golden_transcript(capsys):
-    code, out, _ = run(capsys, "transform", "--source", "0.7,0.3", "--target", "0.8,0.2")
-    assert code == 0
-    assert out == TRANSFORM_GOLDEN
 
 
 def test_transform_equal(capsys):
@@ -123,15 +81,6 @@ def test_transform_unsorted_input_canonicalized(capsys):
     assert "target: (0.8, 0.2)" in out
 
 
-def test_classify_golden_json(capsys):
-    code, out, _ = run(
-        capsys, "classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.55",
-        "--json",
-    )
-    assert code == 0
-    assert out.strip() == CLASSIFY_GOLDEN_JSON
-
-
 def test_classify_complete(capsys):
     code, out, _ = run(capsys, "classify", "--a", "0.7", "--b", "0.8",
                        "--p", "0.8", "--q", "0.7")
@@ -160,12 +109,6 @@ def test_classify_domain_errors(capsys):
     code, _, err = run(capsys, "classify", "--a", "0.7", "--b", "0.8",
                        "--p", "0.3", "--q", "0.55")
     assert code == 2
-
-
-def test_bell_golden_transcript(capsys):
-    code, out, _ = run(capsys, "bell", "--a", "0.6", "--p", "0.7", "--b", "0.9")
-    assert code == 0
-    assert out == BELL_GOLDEN
 
 
 def test_bell_concentration_verdicts(capsys):
@@ -206,24 +149,15 @@ def test_region_csv_file_roundtrip(tmp_path, capsys):
     }
 
 
-def test_region_stdout_mode(capsys):
-    code, out, err = run(capsys, "region", "--a", "0.7", "--b", "0.8", "--n", "1",
-                         "--json")
-    assert code == 0
-    assert out.startswith("p,q,class\n")
-    assert len(out.splitlines()) == 5
-    record = json.loads(err)
-    assert record["results"]["counts"]["infeasible"] == 3
-    assert record["results"]["counts"]["increasing"] == 1
-
-
 def test_region_determinism_quick(tmp_path, capsys):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path in paths:
-        code, _, _ = run(capsys, "region", "--a", "0.55", "--b", "0.62",
-                         "--n", "30", "--out", str(path))
+        code, _, _ = run(capsys, "region", "--a", "0.7", "--b", "0.8",
+                         "--n", "200", "--out", str(path))
         assert code == 0
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    csv = paths[0].read_bytes()
+    assert paths[1].read_bytes() == csv
+    assert csv.startswith(b"p,q,class\n") and csv.count(b"\n") == 1 + 201 * 201
 
 
 def test_region_domain_errors(tmp_path, capsys):
@@ -493,7 +427,21 @@ def test_closed_stdout_exits_2(capsys, monkeypatch, tmp_path, argv):
 
 
 # Every record shape as bytes: text and JSON of each command, and both homes
-# of the region summary (stdout with --out, stderr when the CSV is on stdout)
+# of the region summary (stdout with --out, stderr when the CSV is on stdout).
+# GOLDEN_OUTCOMES below compares each command line's exact bytes.
+TRANSFORM_GOLDEN = """\
+command: transform
+source: (0.7, 0.3)
+target: (0.8, 0.2)
+eps: 1e-12
+verdict: forward
+forward: true
+backward: false
+entropy_source: 0.881290899231
+entropy_target: 0.721928094887
+status: 0
+"""
+
 TRANSFORM_GOLDEN_JSON = (
     '{"command": "transform", "inputs": {"source": [0.7, 0.3], '
     '"target": [0.8, 0.2], "eps": 1e-12}, "results": {"verdict": "forward", '
@@ -516,6 +464,28 @@ entropy_target: 0.721928094887
 entropy_aux_before: 0.970950594455
 entropy_aux_after: 0.992774453988
 recovered: 0.0218238595331
+status: 0
+"""
+
+CLASSIFY_GOLDEN_JSON = (
+    '{"command": "classify", "inputs": {"a": 0.7, "b": 0.8, "p": 0.6, '
+    '"q": 0.55, "eps": 1e-12}, "results": {"class": "true-recovery", '
+    '"joint_before": [0.42, 0.28, 0.18, 0.12], '
+    '"joint_after": [0.44, 0.36, 0.11, 0.09], '
+    '"entropy_source": 0.881290899231, "entropy_target": 0.721928094887, '
+    '"entropy_aux_before": 0.970950594455, '
+    '"entropy_aux_after": 0.992774453988, '
+    '"recovered": 0.0218238595331}, "status": 0}\n'
+)
+
+BELL_GOLDEN = """\
+command: bell
+a: 0.6
+p: 0.7
+b: 0.9
+eps: 1e-12
+bound: 0.75
+feasible_with_residual: true
 status: 0
 """
 
@@ -546,6 +516,9 @@ counts: complete=0 true=4 trivial=0 incomparable=10 increasing=22 infeasible=45
 status: 0
 """
 
+REGION_N1_CSV = ("p,q,class\n0.5,0.5,infeasible\n0.5,1.0,infeasible\n"
+                 "1.0,0.5,increasing\n1.0,1.0,infeasible\n")
+
 REGION_STDOUT_SUMMARY_GOLDEN_JSON = (
     '{"command": "region", "inputs": {"a": 0.7, "b": 0.8, "n": 1, '
     '"eps": 1e-12, "out": "-"}, "results": {"cells": 4, "counts": '
@@ -554,38 +527,12 @@ REGION_STDOUT_SUMMARY_GOLDEN_JSON = (
 )
 
 
-@pytest.mark.parametrize(
-    "argv,status,golden",
-    [(["transform", "--source", "0.7,0.3", "--target", "0.8,0.2", "--json"], 0,
-      TRANSFORM_GOLDEN_JSON),
-     (["classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.55"], 0,
-      CLASSIFY_GOLDEN),
-     (["bell", "--a", "0.6", "--p", "0.7"], 0, BELL_CONCENTRATION_GOLDEN),
-     (["bell", "--a", "0.7", "--p", "0.8", "--json"], 1,
-      BELL_CONCENTRATION_GOLDEN_JSON)],
-    ids=["transform-json", "classify-text", "bell-text", "bell-json"],
-)
-def test_record_golden_bytes(capsys, argv, status, golden):
-    assert run(capsys, *argv) == (status, golden, "")
-
-
 def test_region_file_summary_golden(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
     code, out, err = run(capsys, "region", "--a", "0.7", "--b", "0.8", "--n", "8",
                          "--out", str(out_path))
     assert (code, err) == (0, "")
     assert out == REGION_FILE_SUMMARY_GOLDEN.format(out=out_path)
-
-
-REGION_N1_CSV = ("p,q,class\n0.5,0.5,infeasible\n0.5,1.0,infeasible\n"
-                 "1.0,0.5,increasing\n1.0,1.0,infeasible\n")
-
-
-def test_region_stdout_summary_golden_json(capsys):
-    code, out, err = run(capsys, "region", "--a", "0.7", "--b", "0.8", "--n", "1",
-                         "--json")
-    assert (code, out) == (0, REGION_N1_CSV)
-    assert err == REGION_STDOUT_SUMMARY_GOLDEN_JSON
 
 
 def test_domain_errors_name_the_value_out_of_range(capsys):
@@ -607,7 +554,7 @@ GOLDEN_OUTCOMES = [
     (("classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.55"),
      (0, CLASSIFY_GOLDEN, "")),
     (("classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.55", "--json"),
-     (0, CLASSIFY_GOLDEN_JSON + "\n", "")),
+     (0, CLASSIFY_GOLDEN_JSON, "")),
     (("bell", "--a", "0.6", "--p", "0.7", "--b", "0.9"), (0, BELL_GOLDEN, "")),
     (("bell", "--a", "0.6", "--p", "0.7"), (0, BELL_CONCENTRATION_GOLDEN, "")),
     (("bell", "--a", "0.7", "--p", "0.8", "--json"), (1, BELL_CONCENTRATION_GOLDEN_JSON, "")),

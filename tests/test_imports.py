@@ -137,3 +137,16 @@ def test_classify_point_keeps_the_traced_call_structure():
     assert tracer.stats["recovery.classify_point"][0] == 1
     assert tracer.stats["recovery.product_spectra"][0] == 1
     assert tracer.stats["majorization.is_majorized_by"][0] >= 1
+
+
+def test_no_test_prints_past_the_capture():
+    # a passing run prints pytest's own lines only: no test reports through
+    # capsys.disabled(), which writes to the terminal whatever the outcome
+    found = []
+    for path in sorted(Path(__file__).resolve().parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "disabled"
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "capsys"]
+    assert found == []

@@ -144,21 +144,25 @@ def test_antisymmetry(seed, dim):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
 @settings(max_examples=200)
 def test_transitivity_on_constructed_chain(seed, dim):
-    # x = D1 y, y = D2 z with D1, D2 doubly stochastic, so x < y < z
+    # x = D1 y, y = D2 z with D1, D2 doubly stochastic, so x < y < z, and by
+    # Nielsen's criterion each link is a deterministic conversion
     rng = random.Random(seed)
     z = random_simplex(rng, dim)
     y = doubly_stochastic_mix(rng, z)
     x = doubly_stochastic_mix(rng, y)
-    assert is_majorized_by(y, z)
-    assert is_majorized_by(x, y)
-    assert is_majorized_by(x, z)
+    for source, target in ((y, z), (x, y), (x, z)):
+        assert is_majorized_by(source, target)
+        assert can_transform(source, target)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
-@settings(max_examples=200)
-def test_entropy_schur_concavity(seed, dim):
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_entropy_schur_concavity(seed):
+    # 500 pairs a seed, 100000 a run, dims 2 to 8: a doubly stochastic image x
+    # of y is majorized by it, so y is reachable from x and entropy never rises
     rng = random.Random(seed)
-    y = random_simplex(rng, dim)
-    x = doubly_stochastic_mix(rng, y)
-    assert is_majorized_by(x, y)
-    assert entropy(x) >= entropy(y) - 1e-9
+    for _ in range(500):
+        y = random_simplex(rng, rng.randint(2, 8))
+        x = doubly_stochastic_mix(rng, y)
+        assert is_majorized_by(x, y)
+        assert entropy(x) >= entropy(y) - 1e-9

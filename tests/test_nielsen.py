@@ -1,5 +1,3 @@
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,13 +5,11 @@ from entrecovery import (
     Comparability,
     Tolerance,
     can_transform,
-    entropy,
     make_spectrum,
     transform_verdict,
     two_qubit,
 )
 from entrecovery.cli import main
-from conftest import doubly_stochastic_mix, random_simplex
 
 
 def test_forward_example():
@@ -81,27 +77,6 @@ def test_two_qubit_collapse_to_single_inequality(a, b):
     tol = Tolerance()
     got = can_transform(two_qubit(a).spectrum, two_qubit(b).spectrum, tol)
     assert got == (a <= b + tol.eps)
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
-@settings(max_examples=200)
-def test_transform_chain_transitivity(seed, dim):
-    rng = random.Random(seed)
-    z = random_simplex(rng, dim)
-    y = doubly_stochastic_mix(rng, z)
-    x = doubly_stochastic_mix(rng, y)
-    assert can_transform(x, y) and can_transform(y, z)
-    assert can_transform(x, z)
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
-@settings(max_examples=200)
-def test_transform_never_gains_entropy(seed, dim):
-    rng = random.Random(seed)
-    y = random_simplex(rng, dim)
-    x = doubly_stochastic_mix(rng, y)
-    if can_transform(x, y):
-        assert entropy(x) >= entropy(y) - 1e-9
 
 
 def test_verdict_inside_eps_band_does_not_raise():

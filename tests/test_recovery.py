@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import random
@@ -612,6 +613,24 @@ def test_a_negative_code_in_a_caller_grid_is_a_typed_error_and_writes_nothing():
     assert g.class_at(1, 1) is RegionClass.TRIVIAL_RECOVERY
 
 
+# RegionGrid(0.7, 0.8, 5, codes) with codes that do not describe its 6 x 6
+# cells, and the call that once failed on them: counts() of 4 cells, numpy's
+# IndexError from class_at, AttributeError from counts() on a list, and
+# TypeError from class_at on floats
+@pytest.mark.parametrize(
+    "codes,use,shown",
+    [(np.zeros((2, 2), np.uint8), lambda g: g.counts(), "uint8 array of shape (2, 2)"),
+     (np.zeros((2, 2), np.uint8), lambda g: g.class_at(4, 4), "uint8 array of shape (2, 2)"),
+     ([[0] * 6] * 6, lambda g: g.counts(), "list"),
+     (np.zeros((6, 6)), lambda g: g.class_at(0, 0), "float64 array of shape (6, 6)")],
+    ids=["shape-counts", "shape-class_at", "list", "float"],
+)
+def test_region_grid_rejects_codes_that_are_not_its_cells(codes, use, shown):
+    with pytest.raises(InvalidTypeError, match=re.escape(
+            f"codes must be an integer ndarray of shape (6, 6), got {shown}")):
+        use(RegionGrid(0.7, 0.8, 5, codes))
+
+
 @pytest.mark.parametrize("low_a,high_b", [(True, False), (False, True), (True, True)],
                          ids=["a-below-half", "b-above-one", "both"])
 def test_region_grid_edge_of_range_matches_scalar_classifier(low_a, high_b):
@@ -794,6 +813,21 @@ def test_region_grid_accepts_product_target():
     assert g.class_at(10, 0) is RegionClass.ENTANGLEMENT_INCREASING
 
 
+def _has_both_recovery_kinds(counts):
+    return (counts[RegionClass.TRUE_RECOVERY] >= 1
+            and counts[RegionClass.TRIVIAL_RECOVERY] >= 1)
+
+
+def test_regions_keep_both_recovery_kinds():
+    # the true-recovery region lies next to the trivial one on the n = 200
+    # grid of every sampled problem, and on the thin problem's n = 500 grid
+    rng = random.Random(40404)
+    missing = [prob for prob in (sample_problem(rng) for _ in range(1000))
+               if not _has_both_recovery_kinds(region_grid(prob, 200).counts())]
+    assert missing == []
+    assert _has_both_recovery_kinds(region_grid(RecoveryProblem(0.51, 0.52), 500).counts())
+
+
 # ------------------------------------------------- oracle/closed-form bridge
 
 
@@ -822,32 +856,40 @@ def test_feasible_entropy_bookkeeping(seed):
     )
 
 
+def _sampled_points(rng, count, sample_point):
+    """count draws (prob, p, q) of sample_problem and sample_point(rng, prob),
+    skipping the problems for which sample_point finds no point.  The sampled
+    properties below take a batch per hypothesis seed, so that a run covers
+    both many seeds and the draw count each property needs."""
+    found = []
+    while len(found) < count:
+        prob = sample_problem(rng)
+        got = sample_point(rng, prob)
+        if got is not None:
+            found.append((prob, *got))
+    return found
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_trivial_region_has_per_pair_route(seed):
-    rng = random.Random(seed)
-    prob = sample_problem(rng)
-    got = sample_feasible_point(rng, prob, want="trivial")
-    if got is None:
-        return
-    p, q = got
-    assert classify_point(prob, p, q) is RegionClass.TRIVIAL_RECOVERY
-    assert can_transform(two_qubit(prob.a).spectrum, two_qubit(q).spectrum)
-    assert can_transform(two_qubit(p).spectrum, two_qubit(prob.b).spectrum)
+    # 34 points a seed, 10200 a run: each pair converts on its own
+    trivial = functools.partial(sample_feasible_point, want="trivial")
+    for prob, p, q in _sampled_points(random.Random(seed), 34, trivial):
+        assert classify_point(prob, p, q) is RegionClass.TRIVIAL_RECOVERY
+        assert can_transform(two_qubit(prob.a).spectrum, two_qubit(q).spectrum)
+        assert can_transform(two_qubit(p).spectrum, two_qubit(prob.b).spectrum)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_true_region_needs_collective_route(seed):
-    rng = random.Random(seed)
-    prob = sample_problem(rng)
-    got = sample_feasible_point(rng, prob, want="true")
-    if got is None:
-        return
-    p, q = got
-    assert classify_point(prob, p, q) is RegionClass.TRUE_RECOVERY
-    assert not can_transform(two_qubit(prob.a).spectrum, two_qubit(q).spectrum)
-    assert not can_transform(two_qubit(p).spectrum, two_qubit(q).spectrum)
+    # 34 points a seed, 10200 a run: no single-pair route reaches q
+    true = functools.partial(sample_feasible_point, want="true")
+    for prob, p, q in _sampled_points(random.Random(seed), 34, true):
+        assert classify_point(prob, p, q) is RegionClass.TRUE_RECOVERY
+        assert not can_transform(two_qubit(prob.a).spectrum, two_qubit(q).spectrum)
+        assert not can_transform(two_qubit(p).spectrum, two_qubit(q).spectrum)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -874,31 +916,28 @@ def test_trivial_point_has_true_point_below(seed):
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_outer_subregions(seed):
+    # beyond p = b, 17 points a seed on each side of the slope line q = (a/b)p,
+    # 10200 a run: incomparable above it, entanglement-increasing below
     rng = random.Random(seed)
-    prob = sample_problem(rng)
-    got = sample_outer_point(rng, prob, "incomparable")
-    if got is not None:
-        p, q = got
+    above = functools.partial(sample_outer_point, region="incomparable")
+    for prob, p, q in _sampled_points(rng, 17, above):
         x, y = product_spectra(prob, p, q)
         assert compare(x, y) is Comparability.INCOMPARABLE
         assert classify_point(prob, p, q) is RegionClass.INCOMPARABLE
-    got = sample_outer_point(rng, prob, "increasing")
-    if got is not None:
-        p, q = got
+    below = functools.partial(sample_outer_point, region="increasing")
+    for prob, p, q in _sampled_points(rng, 17, below):
         x, y = product_spectra(prob, p, q)
         assert is_majorized_by(y, x) and not is_majorized_by(x, y)
         assert classify_point(prob, p, q) is RegionClass.ENTANGLEMENT_INCREASING
 
 
-@given(
-    st.floats(0.5, 0.98, allow_nan=False),
-    st.floats(0.002, 0.3, allow_nan=False),
-)
-@settings(max_examples=300)
+@given(st.floats(0.5, 0.98), st.floats(0.002, 0.5))
+@settings(max_examples=1000, deadline=None)
 def test_complete_recovery_point_always(a, gap):
-    b = min(1.0, a + max(gap, 0.002))
+    # at (p, q) = (b, a) the pairs swap roles: the joint spectra are one
+    # multiset, so no entropy is lost
+    b = min(1.0, a + gap)
     prob = RecoveryProblem(a, b)
     assert classify_point(prob, b, a) is RegionClass.COMPLETE_RECOVERY
-    total_before = pair_entropy(a) + pair_entropy(b)
-    total_after = pair_entropy(b) + pair_entropy(a)
-    assert abs(total_before - total_after) <= 1e-9
+    x, y = product_spectra(prob, b, a)
+    assert abs(entropy(x) - entropy(y)) <= 1e-9

@@ -101,6 +101,23 @@ def test_make_spectrum_type_error_is_invalid_type():
         make_spectrum([True])
 
 
+@pytest.mark.parametrize("raw", [5, None, 0.5], ids=repr)
+def test_make_spectrum_rejects_a_non_iterable(raw):
+    with pytest.raises(InvalidTypeError,
+                       match=f"^raw must be an iterable of weights, got {re.escape(repr(raw))}$"):
+        make_spectrum(raw)
+
+
+def test_make_spectrum_passes_on_a_type_error_of_the_callers_iterator():
+    def weights():
+        yield 0.5
+        raise TypeError("raised by the caller's iterator")
+
+    with pytest.raises(TypeError, match="^raised by the caller's iterator$") as info:
+        make_spectrum(weights())
+    assert type(info.value) is TypeError
+
+
 def test_make_spectrum_clamps_tolerated_noise():
     s = make_spectrum([1.0 + 5e-14, -5e-14])
     assert s.values == (1.0, 0.0)
