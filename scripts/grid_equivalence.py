@@ -5,11 +5,11 @@ n = 1500/2000/3000, the open forward bracket, a lone open reverse row on a
 grid with no equal-spectra cell (one fixture, and b = p_i + eps draws),
 equal spectra at wide eps, the 3 x 3 block of complete cells, problems at
 the edge of the range (a just below 1/2, b just above 1), and four-decimal
-problems at the benchmark's resolutions.  A grid's outcome is its counts
-and the sha256 of its codes bytes and of its own write_region_csv output,
-hashed as it streams, so no grid and no CSV is held once it is made; a grid
-that raises has the exception's type and message as its outcome, as a
-scalar call does.
+problems at the benchmark's resolutions.  A grid's outcome is its counts,
+taken before anything reads its codes, and the sha256 of its codes bytes
+and of its own write_region_csv output, hashed as it streams, so no grid
+and no CSV is held once it is made; a grid that raises has the exception's
+type and message as its outcome, as a scalar call does.
 """
 
 import hashlib
@@ -128,11 +128,13 @@ class _Sha256Sink:
 
 
 def _grid(module, a, b, eps, n):
-    # counts, sha256 of the codes and sha256 of the CSV of one grid
+    # counts, sha256 of the codes and sha256 of the CSV of one grid; counts
+    # come first, while nothing has read codes, so a grid that tallies the
+    # kernel's runs until then is compared by its tally
     grid = module.region_grid(module.RecoveryProblem(a, b, module.Tolerance(eps)), n)
+    counts = {cls.value: k for cls, k in grid.counts().items()}
     sink = _Sha256Sink()
     module.cli.write_region_csv(grid, sink)
-    counts = {cls.value: k for cls, k in grid.counts().items()}
     return counts, hashlib.sha256(grid.codes.tobytes()).hexdigest(), sink.hash.hexdigest()
 
 

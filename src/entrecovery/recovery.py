@@ -151,6 +151,14 @@ def _require_int(name: str, v) -> int:
     return operator.index(v)
 
 
+def _require_resolution(n) -> int:
+    # a grid resolution, as region_grid and RegionGrid take it
+    n = _require_int("grid resolution", n)
+    if n < 1:
+        raise OutOfRangeError(f"grid resolution must be >= 1, got {n}")
+    return n
+
+
 def _sorted_products(c: float, v: float) -> tuple[float, ...]:
     # spectrum of a c-pair joined with a v-pair, sorted non-increasing
     d, w = 1.0 - c, 1.0 - v
@@ -301,17 +309,25 @@ class RegionGrid(FrozenValue):
     codes[i, j] stores the class of (p_i, q_j) with p_i = 1/2 + i/(2n) and
     q_j = 1/2 + j/(2n), both exact float expressions, as an index into the
     RegionClass definition order (complete, true, trivial, incomparable,
-    increasing, infeasible).  A grid equals only itself.  codes must be an
-    integer ndarray of shape (n + 1, n + 1), else InvalidTypeError; a, b and
-    n are trusted, as region_grid passes them.
+    increasing, infeasible).  A grid equals only itself.  n must be an
+    integer >= 1, stored as a plain int, and codes an integer ndarray of
+    shape (n + 1, n + 1), else InvalidTypeError or OutOfRangeError; a and b
+    are trusted, as region_grid passes them.
+
+    codes is a read-only property over a private slot, and the array it
+    returns is the caller's to write.  A grid from region_grid also holds
+    the kernel's row runs, which counts() tallies; every read of codes drops
+    them, since a write may follow, and a grid built here has none.
     """
 
-    __slots__ = __match_args__ = ("a", "b", "n", "codes")
+    __slots__ = ("a", "b", "n", "_codes", "_runs")
+    __match_args__ = ("a", "b", "n", "codes")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __init__(self, a: float, b: float, n: int, codes: np.ndarray):
         import numpy as np
+        n = _require_resolution(n)
         if not (type(codes) is np.ndarray and codes.dtype.kind in "iu"
                 and codes.shape == (n + 1, n + 1)):
             shown = (f"{codes.dtype} array of shape {codes.shape}"
@@ -321,7 +337,13 @@ class RegionGrid(FrozenValue):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_runs", None)
+
+    @property
+    def codes(self) -> np.ndarray:
+        object.__setattr__(self, "_runs", None)  # the caller may write codes
+        return self._codes
 
     def _check_index(self, k: int) -> int:
         k = _require_int("grid index", k)
@@ -336,15 +358,30 @@ class RegionGrid(FrozenValue):
 
     def class_at(self, i: int, j: int) -> RegionClass:
         i, j = self._check_index(i), self._check_index(j)
-        code = self.codes[i, j]
+        code = self._codes[i, j]
         if not 0 <= code < len(_CLASSES):  # codes is writable: a caller can store any value
             raise OutOfRangeError(
                 f"grid cell ({i}, {j}) holds code {code}, which no class has")
         return _CLASSES[code]
 
     def counts(self) -> dict[RegionClass, int]:
+        """The number of cells of each class, in RegionClass order.
+
+        While the grid holds region_grid's runs, one weighted bincount
+        tallies their lengths by code, and the rows the kernel patched cell
+        by cell are counted from their codes instead; else it counts the
+        codes, and a code no class has raises OutOfRangeError.
+        """
         import numpy as np
-        codes = self.codes
+        codes, runs = self._codes, self._runs
+        if runs is not None:
+            run_code, lengths, rows = runs
+            tally = np.bincount(run_code, lengths, len(_CLASSES))
+            if rows.size:
+                tally -= np.bincount(run_code.reshape(-1, 5)[rows].ravel(),
+                                     lengths.reshape(-1, 5)[rows].ravel(), len(_CLASSES))
+                tally += np.bincount(codes[rows].ravel(), minlength=len(_CLASSES))
+            return dict(zip(_CLASSES, map(int, tally.tolist())))
         counts = {cls: int(np.count_nonzero(codes == _CLASS_CODE[cls])) for cls in RegionClass}
         if sum(counts.values()) != codes.size:
             # class_at raises OutOfRangeError naming the first cell no class has
@@ -371,19 +408,19 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     maps to its class.  A row is at most five runs of equal keys, whose codes
     one np.repeat writes; only rows with an equal-spectra cell, an open
     bracket or a swap cell get key bytes, and float comparisons on their open
-    bracket columns, in a pass skipped when no row has any of them.
-    Deterministic for fixed (a, b, n, eps).  Peak extra memory, for
-    m = n + 1: the (m x m) codes, O(m) thresholds, and per chunk of rows the
-    keys of its patched rows, the bool masks of one bracket rectangle (at
-    most chunk x m cells) and index arrays over the equal-spectra windows;
-    no key plane and no float array per cell.
+    bracket columns, in a pass skipped when no row has any of them.  The
+    grid keeps the runs and the patched rows' indices, which counts()
+    tallies until codes is read.  Deterministic for fixed (a, b, n, eps).
+    Peak extra memory, for m = n + 1: the (m x m) codes, the O(m) runs and
+    thresholds, and per chunk of rows the keys of its patched rows, the
+    bool masks of one bracket rectangle (at most chunk x m cells) and index
+    arrays over the equal-spectra windows; no key plane and no float array
+    per cell.
     """
     if type(prob) is not RecoveryProblem:
         require_instance("prob", prob, RecoveryProblem)
     import numpy as np
-    n = _require_int("grid resolution", n)
-    if n < 1:
-        raise OutOfRangeError(f"grid resolution must be >= 1, got {n}")
+    n = _require_resolution(n)
     if n > MAX_GRID_N:
         raise ResolutionTooLargeError(f"grid resolution {n} exceeds {MAX_GRID_N}")
     eps = prob.tol.eps
@@ -457,11 +494,12 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     # Every row gets its runs' codes.  Rows with an equal-spectra cell, an open
     # bracket or a swap cell get keys: rebuilt from the runs, patched, translated
     run_code = np.frombuffer(run_key.tobytes().translate(_LADDER_TABLE), dtype=np.uint8)
-    codes = np.repeat(run_code, run_len.ravel()).reshape(m, m)
+    lengths = run_len.ravel()
+    codes = np.repeat(run_code, lengths).reshape(m, m)
     swap_row = np.abs(pv - b) <= eps
     patched = (fwd_lo < fwd_hi) | (rev_lo < rev_hi) | swap_row
     if not (np.count_nonzero(patched) or np.count_nonzero(width)):
-        return RegionGrid(a=a, b=b, n=n, codes=codes)
+        return _kernel_grid(a, b, n, codes, run_code, lengths, patched)
     chunk = max(1, min(m, 2_000_000 // m))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
@@ -500,4 +538,13 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
         keys[swap_row[rows]] |= (np.abs(pv - a) <= eps).view(np.uint8) * _SWAP
         codes[rows] = np.frombuffer(buf.translate(_LADDER_TABLE),
                                     dtype=np.uint8).reshape(-1, m)
-    return RegionGrid(a=a, b=b, n=n, codes=codes)
+    return _kernel_grid(a, b, n, codes, run_code, lengths, patched)
+
+
+def _kernel_grid(a, b, n, codes, run_code, lengths, patched) -> RegionGrid:
+    # region_grid's grid, holding the runs that counts() tallies until codes
+    # is read, and the rows whose cells no longer follow their runs
+    import numpy as np
+    grid = RegionGrid(a, b, n, codes)
+    object.__setattr__(grid, "_runs", (run_code, lengths, np.flatnonzero(patched)))
+    return grid

@@ -37,19 +37,20 @@ __all__ = [
 class FrozenValue:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields once, as `__slots__ = __match_args__ =
-    (...)`, and sets them in __init__ through object.__setattr__.  Equality,
-    hash and repr follow those fields in order, and instances of different
-    classes never compare equal.  Assigning or deleting an attribute raises
-    AttributeError.  Pickle and copy rebuild an instance by calling its class
-    with its fields.  Public to the package's modules but not exported, like
-    errors.require_instance.
+    A subclass names its fields in `__match_args__`, usually as `__slots__ =
+    __match_args__ = (...)`, and sets them in __init__ through
+    object.__setattr__; a field may also be a property over a private slot,
+    as RegionGrid.codes is.  Equality, hash and repr follow the fields in
+    order, and instances of different classes never compare equal.
+    Assigning or deleting an attribute raises AttributeError.  Pickle and
+    copy rebuild an instance by calling its class with its fields.  Public
+    to the package's modules but not exported, like errors.require_instance.
     """
 
     __slots__ = ()
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -60,7 +61,7 @@ class FrozenValue:
         return hash(self._fields())
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):

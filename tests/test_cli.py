@@ -236,8 +236,9 @@ class _LengthSink:
 def test_write_region_csv_memory_is_bounded_by_its_block():
     # every cell starts a run, the worst case for the writer's run-edge arrays;
     # run edges found over the whole grid at once would hold two intp arrays of
-    # about 1M entries each (16 MB), so their peak alone breaks the bound
-    n = 1000
+    # about 251k entries each and lists of them, a peak of about 12 MiB, which
+    # breaks the bound, while the writer's own peak is about 2.3 MiB
+    n = 500
     grid = region_grid(RecoveryProblem(0.6, 0.9), n)
     grid.codes[:] = np.arange(n + 1) % len(RegionClass)
     sink = _LengthSink()

@@ -1,6 +1,8 @@
+import copy
 import functools
 import io
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -571,19 +573,97 @@ def test_region_grids_at_one_resolution_keep_their_own_codes():
     assert (region_grid(prob, 20).codes == want).all()
 
 
-def test_counts_follow_a_write_to_codes():
-    # codes is writable, so counts() counts the codes as they are, not as the
-    # kernel wrote them; a code no class has is class_at's typed error
+def _recount(grid):
+    # the census of codes as they are, one class at a time
+    codes = grid.codes
+    return {cls: int(np.count_nonzero(codes == k)) for k, cls in enumerate(RegionClass)}
+
+
+def test_counts_tally_equals_a_recount_on_family_grids():
+    # counts() first, while the grid holds the kernel's runs, then a recount;
+    # the wide-eps-equal, swap-block and ulp-gap grids have patched rows
+    for family, a, b, eps, n in grid_equivalence.families(0):
+        g = region_grid(_problem(a, b, eps), min(n, 40))
+        assert g.counts() == _recount(g), (family, a, b, eps, n)
+
+
+def test_counts_tally_equals_a_recount_at_benchmark_resolutions():
+    for family, a, b, eps, n in grid_equivalence.families(0):
+        if family == "four-decimal" and n <= 400:
+            g = region_grid(_problem(a, b, eps), n)
+            assert g.counts() == _recount(g), (a, b, n)
+
+
+def _matched_codes(grid):
+    match grid:
+        case RegionGrid(_, _, _, codes):
+            return codes
+
+
+# each way codes leaves a grid: the array itself, or a text or bytes of it
+CODES_LEAKS = {
+    "attribute": lambda g: g.codes,
+    "repr": repr,
+    "copy.copy": lambda g: copy.copy(g).codes,
+    "pickle.dumps": pickle.dumps,
+    "match": _matched_codes,
+}
+
+
+@pytest.mark.parametrize("leak", CODES_LEAKS.values(), ids=CODES_LEAKS)
+def test_counts_follow_a_write_to_codes(leak):
+    # codes is writable once it has left the grid, so counts() counts the codes
+    # as they are, not the kernel's runs; a code no class has is class_at's
+    # typed error.  The writes go through the private slot that every way reads
     g = region_grid(RecoveryProblem(0.7, 0.8), 20)
     before = g.counts()
     assert g.class_at(12, 8) is RegionClass.COMPLETE_RECOVERY
-    g.codes[12, 8] = list(RegionClass).index(RegionClass.INFEASIBLE_OTHER)
+    shown = leak(g)
+    if isinstance(shown, np.ndarray):
+        assert shown is g._codes
+    g._codes[12, 8] = list(RegionClass).index(RegionClass.INFEASIBLE_OTHER)
     after = g.counts()
     assert after[RegionClass.COMPLETE_RECOVERY] == before[RegionClass.COMPLETE_RECOVERY] - 1
     assert after[RegionClass.INFEASIBLE_OTHER] == before[RegionClass.INFEASIBLE_OTHER] + 1
-    g.codes[0, 0] = len(RegionClass)
+    g._codes[0, 0] = len(RegionClass)
     with pytest.raises(OutOfRangeError, match=r"cell \(0, 0\) holds code 6"):
         g.counts()
+
+
+def test_a_constructed_grid_counts_a_write_to_the_codes_it_was_given():
+    codes = region_grid(RecoveryProblem(0.7, 0.8), 20).codes.copy()
+    g = RegionGrid(0.7, 0.8, 20, codes)
+    before = g.counts()
+    codes[12, 8] = list(RegionClass).index(RegionClass.INFEASIBLE_OTHER)
+    after = g.counts()
+    assert after[RegionClass.COMPLETE_RECOVERY] == before[RegionClass.COMPLETE_RECOVERY] - 1
+    assert after == _recount(g)
+
+
+# RegionGrid(0.7, 0.8, n, codes of shape (n + 1, n + 1)) with an n that is no
+# grid resolution raises region_grid's error for it, before any p_value can
+# divide by it
+@pytest.mark.parametrize(
+    "n,side,error,message",
+    [(0, 1, OutOfRangeError, "grid resolution must be >= 1, got 0"),
+     (-1, 0, OutOfRangeError, "grid resolution must be >= 1, got -1"),
+     (None, 1, InvalidTypeError, "grid resolution must be an integer, got None"),
+     (True, 2, InvalidTypeError, "grid resolution must be an integer, got True"),
+     (1.0, 2, InvalidTypeError, "grid resolution must be an integer, got 1.0")],
+    ids=["zero", "negative", "None", "bool", "float"],
+)
+def test_region_grid_checks_its_resolution_as_region_grid_does(n, side, error, message):
+    codes = np.zeros((side, side), np.uint8)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        RegionGrid(0.7, 0.8, n, codes)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        region_grid(RecoveryProblem(0.7, 0.8), n)
+
+
+def test_region_grid_stores_its_resolution_as_a_plain_int():
+    g = RegionGrid(0.7, 0.8, np.int64(2), np.zeros((3, 3), np.uint8))
+    assert type(g.n) is int and g.n == 2
+    assert type(g.p_value(1)) is float and g.p_value(1) == 0.75
 
 
 def test_a_code_no_class_has_is_a_typed_error_and_writes_nothing():
