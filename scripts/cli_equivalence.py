@@ -3,9 +3,10 @@
 A fixed list of argvs, each run in process through the package's cli.main:
 the golden transcripts of tests/test_cli.py, the other verdicts and exit
 statuses that its tests reach, a usage error and --help (both end in
-SystemExit), CLI usage errors, and the domain errors of out-of-range, NaN
-and infinite coefficients.  An outcome is the exit status
-(or the SystemExit code) with the exact stdout and stderr.
+SystemExit), CLI usage errors, the domain errors of out-of-range, NaN
+and infinite coefficients, and coefficients within eps outside their
+range.  An outcome is the exit status (or the SystemExit code) with the
+exact stdout and stderr.
 """
 
 import contextlib
@@ -46,6 +47,10 @@ ARGVS = (
     ("classify", "--a", "0.7", "--b", "1.2", "--p", "0.6", "--q", "0.55"),
     ("classify", "--a", "inf", "--b", "0.8", "--p", "0.6", "--q", "0.55"),
     ("region", "--a", "0.8", "--b", "0.7", "--n", "5"),
+    # values within eps outside [1/2, 1], which the gates clamp onto the end
+    ("classify", "--a", "0.7", "--b", "0.8", "--p", "1.0000000000005", "--q", "0.6"),
+    ("classify", "--a", "0.4999999999995", "--b", "0.8", "--p", "0.6", "--q", "0.55"),
+    ("bell", "--a", "0.7", "--p", "1.0000000000005", "--b", "1.0000000000005"),
 )
 
 

@@ -231,6 +231,7 @@ def _cmd_classify(args, tol: Tolerance) -> dict:
 def _cmd_region(args, tol: Tolerance) -> dict:
     prob = RecoveryProblem(args.a, args.b, tol)
     grid = region_grid(prob, args.n)
+    counts = grid.counts()  # the kernel's tally, which the writer's read of codes drops
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -246,7 +247,7 @@ def _cmd_region(args, tol: Tolerance) -> dict:
                    "out": args.out if args.out is not None else "-"},
         "results": {
             "cells": (args.n + 1) * (args.n + 1),
-            "counts": {cls.value: count for cls, count in grid.counts().items()},
+            "counts": {cls.value: count for cls, count in counts.items()},
         },
         "status": 0,
     }

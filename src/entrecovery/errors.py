@@ -71,18 +71,20 @@ def require_real(name: str, v) -> float:
     return float(v)
 
 
-def require_real_in(name: str, v, lo: float, hi: float, bounds: str) -> float:
-    """Return float(v) for a real v in [lo, hi], else raise InvalidTypeError
-    or OutOfRangeError; a real beyond the float range counts as infinite.
+def require_real_in(name: str, v, eps=0.0, lo=0.5, hi=1.0, bounds="[1/2, 1]") -> float:
+    """Return float(v) clamped onto [lo, hi] for a real v within eps of it,
+    else raise InvalidTypeError or OutOfRangeError; a real beyond the float
+    range counts as infinite.  The default range is that of a, b, p and q.
 
-    The slow path of every scalar gate: callers test `type(v) is float` and
-    `lo <= v <= hi` inline, and call this only when that fails.
+    The slow path of every scalar gate, and the one rule at the ends of its
+    range: callers test `type(v) is float` and `lo <= v <= hi` inline, and
+    call this only when that fails.
     """
     if type(v) is not float:
         try:
             v = require_real(name, v)
         except OverflowError:
             v = float("inf") if v > 0 else float("-inf")
-    if not lo <= v <= hi:
+    if not lo - eps <= v <= hi + eps:
         raise OutOfRangeError(f"{name} must lie in {bounds}, got {v}")
-    return v
+    return min(hi, max(lo, v))

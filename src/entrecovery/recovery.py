@@ -64,6 +64,7 @@ MAX_GRID_N = 10_000
 class RecoveryProblem(FrozenValue):
     """Fixed source/target parameters 1/2 <= a < b <= 1 of a recovery scenario.
 
+    a or b within eps outside that range is clamped onto its end, and then
     a < b must hold strictly beyond eps (equal pairs need no recovery).
     b = 1 (product-state target, i.e. concentration) is a valid problem, but
     the closed-form region requires b < 1; see is_feasible_closed_form.
@@ -74,13 +75,13 @@ class RecoveryProblem(FrozenValue):
     def __init__(self, a: float, b: float, tol: Tolerance = DEFAULT_TOL):
         if type(tol) is not Tolerance:
             require_instance("tol", tol, Tolerance)
-        eps = tol.eps  # tol.geq(a, 0.5), tol.leq(b, 1.0) and tol.lt(a, b) inline
+        eps = tol.eps  # tol.lt(a, b) inline
         if not (type(a) is float and type(b) is float
-                and a >= 0.5 - eps and b <= 1.0 + eps and a < b - eps):
+                and 0.5 <= a and b <= 1.0 and a < b - eps):
             # a value out of range (NaN and inf included) is named before the
-            # order of a and b is judged, whatever its type
-            a = require_real_in("a", a, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
-            b = require_real_in("b", b, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+            # order of a and b is judged on the clamped values, whatever its type
+            a = require_real_in("a", a, eps)
+            b = require_real_in("b", b, eps)
             if not a < b - eps:
                 raise OutOfRangeError(f"need a < b strictly beyond eps, got a={a}, b={b}")
         object.__setattr__(self, "a", a)
@@ -160,14 +161,12 @@ def _require_resolution(n) -> int:
 
 
 def _sorted_products(c: float, v: float) -> tuple[float, ...]:
-    # spectrum of a c-pair joined with a v-pair, sorted non-increasing
+    # spectrum of a c-pair joined with a v-pair, sorted non-increasing: the
+    # gates leave 1/2 <= c, v <= 1, so d = 1 - c and w = 1 - v are exact and
+    # c*v >= c*w, d*v >= d*w >= 0
     d, w = 1.0 - c, 1.0 - v
-    if 0.5 <= c <= 1.0 and 0.5 <= v <= 1.0:
-        # d = 1 - c and w = 1 - v are exact, so c*v >= c*w, d*v >= d*w >= 0;
-        # outside [1/2, 1] (c or v within eps of it) the order can flip
-        cw, dv = c * w, d * v
-        return (c * v, cw, dv, d * w) if cw >= dv else (c * v, dv, cw, d * w)
-    return tuple(sorted((c * v, c * w, d * v, d * w), reverse=True))
+    cw, dv = c * w, d * v
+    return (c * v, cw, dv, d * w) if cw >= dv else (c * v, dv, cw, d * w)
 
 
 def _pair_entropy(v: float) -> float:
@@ -200,11 +199,9 @@ def product_spectra(
     """Joint spectra (source x auxiliary-before, target x auxiliary-after)."""
     if type(prob) is not RecoveryProblem:
         require_instance("prob", prob, RecoveryProblem)
-    eps = prob.tol.eps  # the range gate, tol.geq(v, 0.5) and tol.leq(v, 1.0)
-    if not (type(p) is float and type(q) is float
-            and 0.5 - eps <= p <= 1.0 + eps and 0.5 - eps <= q <= 1.0 + eps):
-        p = require_real_in("p", p, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
-        q = require_real_in("q", q, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+    if not (type(p) is float and type(q) is float and 0.5 <= p <= 1.0 and 0.5 <= q <= 1.0):
+        p = require_real_in("p", p, prob.tol.eps)
+        q = require_real_in("q", q, prob.tol.eps)
     return (SchmidtSpectrum(_sorted_products(prob.a, p)),
             SchmidtSpectrum(_sorted_products(prob.b, q)))
 
@@ -218,7 +215,7 @@ def is_feasible_closed_form(prob: RecoveryProblem, p: float, q: float) -> bool:
         Problem with b < 1 strictly (the boundary-line slopes degenerate at
         b = 1; concentration targets are handled by can_concentrate_bell).
     p, q : float
-        Auxiliary-pair parameters in [1/2, 1].
+        Auxiliary-pair parameters, 1/2 <= p, q <= 1.
 
     Returns
     -------
@@ -226,8 +223,8 @@ def is_feasible_closed_form(prob: RecoveryProblem, p: float, q: float) -> bool:
         True iff all of: q < p (strict, so the auxiliary strictly gains
         entanglement), ap <= bq and (1-b)(1-q) <= (1-a)(1-p)
         (division-free forms of the slope bounds q >= (a/b)p and
-        1-q <= ((1-a)/(1-b))(1-p)), and p <= b with q < b.  The [1/2, 1]
-        part of 1/2 <= q < p <= 1 is enforced by the range gate on p and q,
+        1-q <= ((1-a)/(1-b))(1-p)), and p <= b with q < b.  The range part
+        of 1/2 <= q < p <= 1 is enforced by the range gate on p and q,
         which raises OutOfRangeError instead of returning False.
 
     Never consults the majorization oracle; classify_point is the
@@ -238,10 +235,9 @@ def is_feasible_closed_form(prob: RecoveryProblem, p: float, q: float) -> bool:
     a, b, eps = prob.a, prob.b, prob.tol.eps
     if not b < 1.0 - eps:  # tol.lt(b, 1.0)
         raise OutOfRangeError("closed-form region requires b < 1")
-    if not (type(p) is float and type(q) is float
-            and 0.5 - eps <= p <= 1.0 + eps and 0.5 - eps <= q <= 1.0 + eps):
-        p = require_real_in("p", p, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
-        q = require_real_in("q", q, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+    if not (type(p) is float and type(q) is float and 0.5 <= p <= 1.0 and 0.5 <= q <= 1.0):
+        p = require_real_in("p", p, eps)
+        q = require_real_in("q", q, eps)
     # tol.lt, leq, leq, leq and lt, inline on eps
     return (q < p - eps
             and a * p <= b * q + eps
@@ -258,9 +254,10 @@ def classify_point(prob: RecoveryProblem, p: float, q: float) -> RegionClass:
     never enters; see is_feasible_closed_form.
     """
     x, y = product_spectra(prob, p, q)  # checks prob, p and q
-    if not (type(p) is float and type(q) is float):
-        p, q = float(p), float(q)  # reals in range, as product_spectra found
     a, b, eps = prob.a, prob.b, prob.tol.eps
+    # the predicates see p and q as product_spectra does: clamped floats
+    if not (type(p) is float and type(q) is float and 0.5 <= p <= 1.0 and 0.5 <= q <= 1.0):
+        p, q = require_real_in("p", p, eps), require_real_in("q", q, eps)
     x0, x1, x2, x3 = x.values
     y0, y1, y2, y3 = y.values
     # the Tolerance expressions inline: close, lt and, for rev, leq on the
@@ -295,16 +292,15 @@ def can_concentrate_bell(a: float, p: float, tol: Tolerance = DEFAULT_TOL) -> bo
     """
     if type(tol) is not Tolerance:
         require_instance("tol", tol, Tolerance)
-    eps = tol.eps  # the range gate and tol.lt(a * p, 0.5), inline
-    if not (type(a) is float and type(p) is float
-            and 0.5 - eps <= a <= 1.0 + eps and 0.5 - eps <= p <= 1.0 + eps):
-        a = require_real_in("a", a, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
-        p = require_real_in("p", p, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+    eps = tol.eps  # tol.lt(a * p, 0.5), inline
+    if not (type(a) is float and type(p) is float and 0.5 <= a <= 1.0 and 0.5 <= p <= 1.0):
+        a = require_real_in("a", a, eps)
+        p = require_real_in("p", p, eps)
     return a * p < 0.5 - eps
 
 
 class RegionGrid(FrozenValue):
-    """Rasterized classification of [1/2, 1]^2 at resolution n.
+    """Rasterized classification of the square 1/2 <= p, q <= 1 at resolution n.
 
     codes[i, j] stores the class of (p_i, q_j) with p_i = 1/2 + i/(2n) and
     q_j = 1/2 + j/(2n), both exact float expressions, as an index into the
@@ -391,26 +387,28 @@ class RegionGrid(FrozenValue):
 
 
 def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
-    """Classify every point of the (n+1) x (n+1) grid over [1/2, 1]^2.
+    """Classify every point of the (n+1) x (n+1) grid over 1/2 <= p, q <= 1.
 
     Internally vectorized, but cell-for-cell identical to calling
     classify_point on each (p_i, q_j): the axis values, sorted product
     spectra and prefix sums are computed in numpy with the same IEEE
     operations as the scalar code, and the pair entropies, once per n, by
-    the scalar code itself.  Along a grid row every predicate is one
-    interval of columns, cut by the boundary lines of the region: fwd is a
-    suffix, rev, gain and q < a are prefixes.  The gain cut is one
-    searchsorted, as grid entropies fall by at least 1/(2 ln 2 n^2) >=
-    7.2e-9 a step; only the six prefix-sum cuts, which rounding can make
-    non-monotone, are bracketed, by searchsorted on the running maximum and
-    minimum of their columns (one search on a rising column).  A cell's
-    predicates pack into one byte, its key, which a table built from _ladder
-    maps to its class.  A row is at most five runs of equal keys, whose codes
-    one np.repeat writes; only rows with an equal-spectra cell, an open
-    bracket or a swap cell get key bytes, and float comparisons on their open
-    bracket columns, in a pass skipped when no row has any of them.  The
-    grid keeps the runs and the patched rows' indices, which counts()
-    tallies until codes is read.  Deterministic for fixed (a, b, n, eps).
+    the scalar code itself; as the gates keep a and b in the range, only the
+    middle two products change order, which one maximum/minimum pair ranks.
+    Along a grid row every predicate is one interval of columns, cut by the
+    boundary lines of the region: fwd is a suffix, rev, gain and q < a are
+    prefixes.  The gain cut is one searchsorted, as grid entropies fall by
+    at least 1/(2 ln 2 n^2) >= 7.2e-9 a step; only the six prefix-sum cuts,
+    which rounding can make non-monotone, are bracketed, by searchsorted on
+    the running maximum and minimum of their columns (one search on a rising
+    column).  A cell's predicates pack into one byte, its key, which a table
+    built from _ladder maps to its class.  A row is at most five runs of
+    equal keys, whose codes one np.repeat writes; only rows with an
+    equal-spectra cell, an open bracket or a swap cell get key bytes, and
+    float comparisons on their open bracket columns, in a pass skipped when
+    no row has any of them.  The grid keeps the runs and the patched rows'
+    indices, which counts() tallies until codes is read.  Deterministic for
+    fixed (a, b, n, eps).
     Peak extra memory, for m = n + 1: the (m x m) codes, the O(m) runs and
     thresholds, and per chunk of rows the keys of its patched rows, the
     bool masks of one bracket rectangle (at most chunk x m cells) and index
@@ -430,13 +428,11 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     pv = axis[0]
     # _sorted_products row by row, source (c = a) and target (c = b) at once,
     # with the same IEEE operations: prod[u, w] holds the products of
-    # (c, 1 - c)[u] with (v, 1 - v)[w] as (2, m) rows, which a five-exchange
-    # network of maximum/minimum sorts into rank rows, the values of np.sort
+    # (c, 1 - c)[u] with (v, 1 - v)[w] as (2, m) rows; c*v is the top rank,
+    # (1 - c)(1 - v) the bottom, and one maximum/minimum orders the middle two
     prod = np.array([a, b, 1.0 - a, 1.0 - b]).reshape(2, 1, 2, 1) * axis[:2, None]
-    high, low = np.maximum(prod[:, 0], prod[:, 1]), np.minimum(prod[:, 0], prod[:, 1])
-    top, mid_hi = np.maximum(high[0], high[1]), np.minimum(high[0], high[1])
-    mid_lo, bottom = np.maximum(low[0], low[1]), np.minimum(low[0], low[1])
-    ranks = (top, np.maximum(mid_hi, mid_lo), np.minimum(mid_hi, mid_lo), bottom)
+    top, mid, bottom = prod[0, 0], (prod[0, 1], prod[1, 0]), prod[1, 1]
+    ranks = (top, np.maximum(*mid), np.minimum(*mid), bottom)
     # sums[0, k] adds ranks 0..k left to right, as is_majorized_by does, and
     # sums[1] adds eps; sums[:, k, 0] is the source row, sums[:, k, 1] the target
     sums = np.empty((2, 3, 2, m))

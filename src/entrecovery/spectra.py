@@ -79,13 +79,14 @@ class Tolerance(FrozenValue):
 
     The methods below fix the boundary semantics: "non-strict within eps"
     means leq/geq, "strict beyond eps" means lt/gt.  The scalar hot paths
-    (make_spectrum, is_majorized_by, compare, product_spectra, classify_point,
-    is_feasible_closed_form, can_concentrate_bell), the range gates of
-    Tolerance, TwoQubitPair, two_qubit and RecoveryProblem, and region_grid
-    write the same expressions inline on eps, e.g. `x <= y + eps` for leq,
-    `x < y - eps` for lt and `abs(x - y) <= eps` for close.  Each gate
-    stores or uses float(v) for a real v of another type, so eps is always
-    a float.
+    (make_spectrum, is_majorized_by, compare, classify_point,
+    is_feasible_closed_form, can_concentrate_bell) and region_grid write the
+    same expressions inline on eps, e.g. `x <= y + eps` for leq, `x < y - eps`
+    for lt and `abs(x - y) <= eps` for close.  The range gates test the exact
+    range inline and leave the ends to errors.require_real_in: a value
+    within eps outside its range is clamped onto the end, as make_spectrum
+    clamps a weight, and each gate stores or uses float(v) for a real v of
+    another type, so eps is always a float.
     """
 
     __slots__ = __match_args__ = ("eps",)
@@ -93,7 +94,7 @@ class Tolerance(FrozenValue):
     def __init__(self, eps: float = 1e-12):
         if not (type(eps) is float and 0.0 < eps < 1e-3):
             # (0, 1e-3) as the closed interval of floats it holds
-            eps = require_real_in("eps", eps, 5e-324, math.nextafter(1e-3, 0.0),
+            eps = require_real_in("eps", eps, 0.0, 5e-324, math.nextafter(1e-3, 0.0),
                                   "(0, 1e-3)")
         object.__setattr__(self, "eps", eps)
 
@@ -142,16 +143,16 @@ class SchmidtSpectrum(FrozenValue):
 class TwoQubitPair(FrozenValue):
     """Two-qubit pure state, parameterized by its larger squared coefficient a.
 
-    Canonical range is 1/2 <= a <= 1; a = 1/2 is a Bell pair, a = 1 a product
-    state.  Build through two_qubit() to canonicalize either coefficient.
+    Canonical range is 1/2 <= a <= 1, within eps of which a is clamped onto
+    it; a = 1/2 is a Bell pair, a = 1 a product state.  Build through
+    two_qubit() to canonicalize either coefficient.
     """
 
     __slots__ = __match_args__ = ("a",)
 
     def __init__(self, a: float):
-        eps = DEFAULT_TOL.eps
-        if not (type(a) is float and 0.5 - eps <= a <= 1.0 + eps):
-            a = require_real_in("a", a, 0.5 - eps, 1.0 + eps, "[1/2, 1]")
+        if not (type(a) is float and 0.5 <= a <= 1.0):
+            a = require_real_in("a", a, DEFAULT_TOL.eps)
         object.__setattr__(self, "a", a)
 
     @property
@@ -221,16 +222,15 @@ def make_spectrum(raw, tol: Tolerance = DEFAULT_TOL) -> SchmidtSpectrum:
 def two_qubit(a_raw: float, tol: Tolerance = DEFAULT_TOL) -> TwoQubitPair:
     """Build a TwoQubitPair from either squared coefficient.
 
-    Accepts any value in [0, 1] (within eps) and canonicalizes to
-    a = max(a_raw, 1 - a_raw), so the stored parameter lies in [1/2, 1].
+    Accepts any value in [0, 1], clamping one within eps outside it onto the
+    end, and canonicalizes to a = max(a_raw, 1 - a_raw), so the stored
+    parameter lies in 1/2 <= a <= 1.
     """
     if type(tol) is not Tolerance:
         require_instance("tol", tol, Tolerance)
-    eps = tol.eps
-    if not (type(a_raw) is float and -eps <= a_raw <= 1.0 + eps):
-        a_raw = require_real_in("coefficient", a_raw, -eps, 1.0 + eps, "[0, 1]")
-    a = min(1.0, max(0.0, a_raw))
-    return TwoQubitPair(max(a, 1.0 - a))
+    if not (type(a_raw) is float and 0.0 <= a_raw <= 1.0):
+        a_raw = require_real_in("coefficient", a_raw, tol.eps, 0.0, 1.0, "[0, 1]")
+    return TwoQubitPair(max(a_raw, 1.0 - a_raw))
 
 
 def tensor(s: SchmidtSpectrum, t: SchmidtSpectrum) -> SchmidtSpectrum:

@@ -1,13 +1,17 @@
+import contextlib
 import errno
 import hashlib
 import io
 import json
 import math
+import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import entrecovery
 from conftest import cli_equivalence, grid_equivalence
@@ -174,6 +178,23 @@ def test_region_domain_errors(tmp_path, capsys):
         assert code == 2 and stdout == ""
         assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_region_summary_takes_the_kernel_tally(tmp_path, capsys, monkeypatch):
+    # the summary's counts are taken while the grid still holds region_grid's
+    # runs, before the CSV writer reads codes and so drops them
+    tallied = []
+    counts = entrecovery.RegionGrid.counts
+
+    def spy(grid):
+        tallied.append(grid._runs is not None)
+        return counts(grid)
+
+    monkeypatch.setattr(entrecovery.RegionGrid, "counts", spy)
+    argv = ("region", "--a", "0.7", "--b", "0.8", "--n", "8")
+    assert run(capsys, *argv, "--out", str(tmp_path / "grid.csv"))[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    assert tallied == [True, True]
 
 
 def test_region_csv_matches_library_writer(tmp_path, capsys):
@@ -627,3 +648,84 @@ def test_usage_error_is_formatted_at_the_width_of_the_moment(monkeypatch):
     assert narrow == fresh_outcome(MISSING_Q)
     monkeypatch.setenv("COLUMNS", "200")
     assert outcome(MISSING_Q) == wide
+
+
+# The argv net: command lines built from the four commands, their flags and
+# hostile values, in-band ones included (within eps outside [1/2, 1], or [0, 1]
+# for a weight), end in an exit status or SystemExit code with one error line
+# on exit 2, never a traceback, and no record prints NaN or a negative weight
+# or entropy.
+SCALARS = ("0.7", "0.8", "0.6", "0.55", "0.5", "1", "0.3", "1.2", "-1", "-0",
+           "nan", "inf", "-inf", "1e400", "", "junk",
+           "1.0000000000005", "0.4999999999995", "-0.0000000000005", "1.0005", "0.4995")
+SPECTRA = ("0.7,0.3", "0.5,0.5", "1,0", "0.6,0.4,0", "0.25,0.25,0.25,0.25",
+           "1.0000000000005,-0.0000000000005", "0.5000000000005,0.4999999999995,-0",
+           "0.7,0.4", "-0.1,1.1", "nan,1", "1e400,0", "", ",", "junk")
+VALUES = {
+    "--a": SCALARS, "--b": SCALARS, "--p": SCALARS, "--q": SCALARS,
+    "--source": SPECTRA, "--target": SPECTRA,
+    "--n": ("1", "3", "8", "0", "-1", "10001", "nan", "1e400", "", "2.5", "x"),
+    "--eps": ("1e-12", "1e-15", "9e-4", "1e-3", "0", "-1e-12", "nan", "inf", "", "x"),
+    "--out": ("{dir}/grid.csv", "{dir}/missing/grid.csv", "{dir}"),
+}
+COMMAND_FLAGS = {
+    "transform": ("--source", "--target", "--a", "--b"),
+    "classify": ("--a", "--b", "--p", "--q"),
+    "region": ("--a", "--b", "--n", "--out"),
+    "bell": ("--a", "--p", "--b"),
+}
+PRINTED_NONNEGATIVE = {"source", "target", "joint_before", "joint_after", "entropy_source",
+                       "entropy_target", "entropy_aux_before", "entropy_aux_after"}
+
+
+@st.composite
+def hostile_argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    for flag in COMMAND_FLAGS[command] + ("--eps",):
+        if draw(st.integers(0, 4)):  # each flag is left out one time in five
+            argv += [flag, draw(st.sampled_from(VALUES[flag]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if not draw(st.integers(0, 15)):
+        argv.append(draw(st.sampled_from(("--help", "--junk", "extra"))))
+    return argv
+
+
+def printed_fields(record: str, as_json: bool) -> dict:
+    """{key: value as printed} of a record's inputs and results."""
+    if as_json:
+        rec = json.loads(record)
+        return {key: json.dumps(val) for key, val in {**rec["inputs"], **rec["results"]}.items()}
+    return dict(line.split(": ", 1) for line in record.splitlines())
+
+
+@given(hostile_argvs())
+@example(["classify", "--a", "0.7", "--b", "0.8", "--p", "1.0000000000005", "--q", "0.6"])
+@example(["classify", "--a", "0.7", "--b", "1.0000000000005", "--p", "0.6", "--q", "0.8",
+          "--json"])
+@example(["transform", "--a", "1.0000000000005", "--target", "0.7,0.3"])
+@settings(max_examples=300, deadline=None)
+def test_hostile_command_lines_exit_cleanly(tmp_path_factory, argv):
+    folder = tmp_path_factory.getbasetemp() / "argv-net"
+    folder.mkdir(exist_ok=True)
+    argv = [arg.format(dir=folder) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status, exited = main(argv), False
+        except SystemExit as exc:
+            status, exited = exc.code, True
+    out, err = out.getvalue(), err.getvalue()
+    assert status in ((0, 2) if exited else (0, 1, 2)), argv
+    assert "Traceback" not in out + err
+    assert sum("error:" in line for line in err.splitlines()) == (status == 2), argv
+    if exited or status == 2:
+        return
+    to_stderr = argv[0] == "region" and "--out" not in argv  # the CSV is on stdout
+    for key, shown in printed_fields(err if to_stderr else out, "--json" in argv).items():
+        if key != "out":
+            assert "nan" not in shown.lower(), (argv, key, shown)
+        if key in PRINTED_NONNEGATIVE:
+            numbers = re.findall(r"[^\s,()\[\]]+", shown)
+            assert not any(x.startswith("-") for x in numbers), (argv, key, shown)

@@ -87,6 +87,14 @@ def test_no_assert_statement_in_the_package():
     assert found == []
 
 
+def test_the_unit_range_is_written_in_one_place():
+    # every [1/2, 1] gate leaves the ends of the range to one helper, so the
+    # bounds text of its messages appears once in the package
+    found = {path.name: path.read_text(encoding="utf-8").count("[1/2, 1]")
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert sum(found.values()) == 1, found
+
+
 def test_no_dataclasses_import_in_the_package():
     # importing dataclasses pulls in inspect, ast, dis and tokenize, which
     # every short-lived CLI process would pay for; the value classes derive

@@ -714,9 +714,8 @@ def test_region_grid_rejects_codes_that_are_not_its_cells(codes, use, shown):
 @pytest.mark.parametrize("low_a,high_b", [(True, False), (False, True), (True, True)],
                          ids=["a-below-half", "b-above-one", "both"])
 def test_region_grid_edge_of_range_matches_scalar_classifier(low_a, high_b):
-    # RecoveryProblem admits a in [1/2 - eps, 1/2) and b in (1, 1 + eps], where
-    # the sorted order of the product spectra flips: a(1-p) against (1-a)p,
-    # and (1-b)q turns negative
+    # RecoveryProblem clamps a in [1/2 - eps, 1/2) onto 1/2 and b in
+    # (1, 1 + eps] onto 1, where the grid meets the ties of the next test
     rng = random.Random(67)
     for _ in range(8):
         _assert_grid_matches_scalar_classifier(
@@ -728,12 +727,10 @@ def test_region_grid_edge_of_range_matches_scalar_classifier(low_a, high_b):
 @pytest.mark.parametrize("a,b", [(0.5, 0.8), (0.7, 1.0), (0.5, 1.0)],
                          ids=["a-half", "b-one", "both"])
 def test_region_grid_product_ties_match_scalar_classifier(a, b, n):
-    # region_grid sorts the four products with a max/min network, which must
-    # order exact ties as sorted() does: at a = 1/2, a*p equals (1-a)*p on
-    # every row; at b = 1, (1-b)*q and (1-b)*(1-q) are both +0.0; and at
-    # p = 1 or q = 1 more products are zero.  With the b in (1, 1 + eps]
-    # family, where -0.0 appears at q = 1, this pins that the sign of a zero
-    # never reaches a predicate
+    # region_grid ranks the middle two products with one max/min pair, which
+    # must order exact ties as sorted() does: at a = 1/2, a*p equals (1-a)*p
+    # on every row; at b = 1, (1-b)*q and (1-b)*(1-q) are both +0.0; and at
+    # p = 1 or q = 1 more products are zero
     _assert_grid_matches_scalar_classifier(RecoveryProblem(a, b), n)
 
 

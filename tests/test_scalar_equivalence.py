@@ -27,10 +27,13 @@ def test_scalar_equivalence_finds_a_tree_equal_to_itself():
 
 
 def test_scalar_equivalence_reports_an_altered_entry_point():
-    # a*p < 1/2 made non-strict within eps: only the draws at k eps from the
-    # line ap = 1/2 can tell
+    # a*p < 1/2 made non-strict within eps, on a and p clamped as the gate
+    # clamps them: only the draws at k eps from the line ap = 1/2 can tell
+    def clamped_ap(a, p):
+        return min(1.0, max(0.5, a)) * min(1.0, max(0.5, p))
+
     def can_concentrate_bell(a, p, tol):
-        return entrecovery.can_concentrate_bell(a, p, tol) or a * p <= 0.5 + tol.eps
+        return entrecovery.can_concentrate_bell(a, p, tol) or clamped_ap(a, p) <= 0.5 + tol.eps
 
     changed = types.SimpleNamespace(
         **{name: getattr(entrecovery, name) for name in ENTRY_POINTS | {"Tolerance"}})
@@ -38,7 +41,7 @@ def test_scalar_equivalence_reports_an_altered_entry_point():
     _, diffs = side_by_side.compare(changed, entrecovery, first_draws())
     assert {name for name, *_ in diffs} == {"can_concentrate_bell"}
     for _, (eps, a, b, p, *_), got, want in diffs:
-        assert abs(a * p - 0.5) <= eps
+        assert abs(clamped_ap(a, p) - 0.5) <= eps
         assert (got, want) == (("bool", "True"), ("bool", "False"))
 
 
@@ -47,7 +50,7 @@ CLI_CHECK = [(cli_equivalence.outcomes, cli_equivalence.ARGVS)]
 
 def test_cli_equivalence_finds_a_tree_equal_to_itself():
     calls, diffs = compare_with_itself(CLI_CHECK)
-    assert calls == {"cli transform": 8, "cli classify": 13, "cli bell": 4, "cli region": 2,
+    assert calls == {"cli transform": 8, "cli classify": 15, "cli bell": 5, "cli region": 2,
                      "cli --help": 1}
     assert diffs == []
     # the list covers both SystemExit codes and every exit status

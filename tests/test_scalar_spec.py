@@ -31,6 +31,7 @@ from entrecovery import (
     is_feasible_closed_form,
     is_majorized_by,
     make_spectrum,
+    product_spectra,
     transform_verdict,
 )
 from entrecovery.recovery import _ladder, _sorted_products
@@ -72,14 +73,20 @@ def spec_compare(xv, yv, tol):
     return Comparability.INCOMPARABLE
 
 
+def spec_products(c, v):
+    return sorted((c * v, c * (1.0 - v), (1.0 - c) * v, (1.0 - c) * (1.0 - v)),
+                  reverse=True)
+
+
+def spec_clamp(v):
+    # a value the range gate accepts, as the arithmetic sees it
+    return min(1.0, max(0.5, v))
+
+
 def spec_classify(prob, p, q):
     t = prob.tol
-
-    def products(c, v):
-        return sorted((c * v, c * (1.0 - v), (1.0 - c) * v, (1.0 - c) * (1.0 - v)),
-                      reverse=True)
-
-    x, y = products(prob.a, p), products(prob.b, q)
+    p, q = spec_clamp(p), spec_clamp(q)
+    x, y = spec_products(prob.a, p), spec_products(prob.b, q)
     return _ladder(
         swap=t.close(p, prob.b) and t.close(q, prob.a),
         gain=t.lt(q, p) and t.lt(entropy((p, 1.0 - p)), entropy((q, 1.0 - q))),
@@ -215,14 +222,15 @@ def test_classify_point_matches_the_spec_near_every_boundary_line(eps):
 
 @pytest.mark.parametrize("eps", EPSILONS)
 def test_unit_range_gate_edges(eps):
-    # the float fast path of product_spectra accepts exactly what the range
-    # gate accepts: [1/2 - eps, 1 + eps], NaN excluded
+    # classify_point accepts exactly what the range gate accepts, [1/2 - eps,
+    # 1 + eps] with NaN excluded, and decides a value within eps outside
+    # [1/2, 1] as the end it is clamped onto
     prob = RecoveryProblem(0.7, 0.8, Tolerance(eps))
     inside = (0.5 - eps, 1.0 + eps)
     outside = (math.nextafter(0.5 - eps, 0.0), math.nextafter(1.0 + eps, 2.0), math.nan)
     for v in inside:
-        classify_point(prob, v, 0.75)
-        classify_point(prob, 0.75, v)
+        assert classify_point(prob, v, 0.75) is classify_point(prob, spec_clamp(v), 0.75)
+        assert classify_point(prob, 0.75, v) is classify_point(prob, 0.75, spec_clamp(v))
     for v in outside:
         with pytest.raises(OutOfRangeError):
             classify_point(prob, v, 0.75)
@@ -268,8 +276,11 @@ def spec_unit(v, tol):
 
 
 def spec_problem(a, b, tol):
-    # True when RecoveryProblem accepts (a, b)
-    return tol.geq(a, 0.5) and tol.leq(b, 1.0) and tol.lt(a, b)
+    # (a, b) as RecoveryProblem stores them: clamped, then ordered beyond eps
+    if not (spec_unit(a, tol) and spec_unit(b, tol)):
+        return OutOfRangeError
+    a, b = spec_clamp(a), spec_clamp(b)
+    return (a, b) if tol.lt(a, b) else OutOfRangeError
 
 
 def spec_closed_form(prob, p, q):
@@ -277,6 +288,7 @@ def spec_closed_form(prob, p, q):
     t, a, b = prob.tol, prob.a, prob.b
     if not (t.lt(b, 1.0) and spec_unit(p, t) and spec_unit(q, t)):
         return OutOfRangeError
+    p, q = spec_clamp(p), spec_clamp(q)
     return (t.lt(q, p) and t.leq(a * p, b * q)
             and t.leq((1.0 - b) * (1.0 - q), (1.0 - a) * (1.0 - p))
             and t.leq(p, b) and t.lt(q, b))
@@ -285,7 +297,7 @@ def spec_closed_form(prob, p, q):
 def spec_bell(a, p, tol):
     if not (spec_unit(a, tol) and spec_unit(p, tol)):
         return OutOfRangeError
-    return tol.lt(a * p, 0.5)
+    return tol.lt(spec_clamp(a) * spec_clamp(p), 0.5)
 
 
 def outcome(fn, *args):
@@ -312,11 +324,11 @@ def test_recovery_problem_gate_matches_the_spec(eps):
     for a, b in pairs:
         want = spec_problem(a, b, tol)
         got = outcome(RecoveryProblem, a, b, tol)
-        if want:
-            assert (got.a, got.b, got.tol) == (a, b, tol)
-        else:
+        if want is OutOfRangeError:
             assert got is OutOfRangeError, (a, b)
-        seen.add(want)
+        else:
+            assert (got.a, got.b, got.tol) == (*want, tol)
+        seen.add(want is OutOfRangeError)
     assert seen == {True, False}
 
 
@@ -330,11 +342,12 @@ def test_closed_form_and_bell_match_the_spec_near_every_line(eps):
     for _ in range(25):
         base = sample_problem(rng)
         b = rng.choice((base.b, 1.0 + rng.choice((-3, -2, -1, 1)) * eps))
-        prob = RecoveryProblem(base.a, b, tol)
+        prob = RecoveryProblem(base.a, b, tol)  # b = 1 + eps is stored as 1
+        # at b = 1 line 2, (1-b)(1-q) = (1-a)(1-p), is p = 1: the range ends cover it
+        lines = range(7) if prob.b < 1.0 else (0, 1, 3, 4, 5, 6)
         points = [(rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)) for _ in range(5)]
         for k in range(-3, 4):
-            points += [on_boundary_line(rng, line, prob.a, prob.b, k * eps)
-                       for line in range(7)]
+            points += [on_boundary_line(rng, line, prob.a, prob.b, k * eps) for line in lines]
             u = rng.uniform(0.5, 1.0)
             points += [(range_end(rng, eps), u), (u, range_end(rng, eps))]
         for p, q in points:
@@ -366,24 +379,22 @@ def test_compare_on_identical_values(eps):
         assert transform_verdict(sx, sy, tol).comparability is Comparability.EQUAL
 
 
-def reference_products(c, v):
-    return sorted((c * v, c * (1.0 - v), (1.0 - c) * v, (1.0 - c) * (1.0 - v)),
-                  reverse=True)
-
-
 @pytest.mark.parametrize("eps", EPSILONS)
 def test_sorted_products_bit_for_bit(eps):
-    # the sort, sign of zero included, where c or v lies within eps outside
-    # [1/2, 1] (b in (1, 1 + eps], a in [1/2 - eps, 1/2)) and inside it
+    # the sort, sign of zero included, at the ends of [1/2, 1] and inside it;
+    # product_spectra takes a value within eps outside it as the end
     rng = random.Random(f"products:{eps}")
-    ends = [0.5 - eps, math.nextafter(0.5, 0.0), 0.5, 1.0, math.nextafter(1.0, 2.0),
-            1.0 + eps]
-    cs = ends + [1.0 + rng.uniform(0.0, eps) for _ in range(10)]
-    cs += [0.5 - rng.uniform(0.0, eps) for _ in range(10)]
-    cs += [rng.uniform(0.5, 1.0) for _ in range(10)]
-    vs = ends + [range_end(rng, eps) for _ in range(10)]
-    vs += [0.5 + i / 64 for i in range(33)] + [rng.uniform(0.5, 1.0) for _ in range(10)]
+    ends = [0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0), 1.0]
+    cs = ends + [rng.uniform(0.5, 1.0) for _ in range(30)]
+    vs = ends + [0.5 + i / 64 for i in range(33)] + [rng.uniform(0.5, 1.0) for _ in range(20)]
     for c in cs:
         for v in vs:
             got = [u.hex() for u in _sorted_products(c, v)]
-            assert got == [u.hex() for u in reference_products(c, v)], (c, v)
+            assert got == [u.hex() for u in spec_products(c, v)], (c, v)
+    prob = RecoveryProblem(0.7, 0.8, Tolerance(eps))
+    band = [0.5 - eps, math.nextafter(0.5, 0.0), math.nextafter(1.0, 2.0), 1.0 + eps]
+    band += [0.5 - rng.uniform(0.0, eps) for _ in range(10)]
+    band += [1.0 + rng.uniform(0.0, eps) for _ in range(10)]
+    for v in band:
+        want = product_spectra(prob, spec_clamp(v), spec_clamp(v))
+        assert product_spectra(prob, v, v) == want, v
