@@ -5,8 +5,8 @@ the golden transcripts of tests/test_cli.py, the other verdicts and exit
 statuses that its tests reach, a usage error and --help (both end in
 SystemExit), CLI usage errors, the domain errors of out-of-range, NaN
 and infinite coefficients, and coefficients within eps outside their
-range.  An outcome is the exit status (or the SystemExit code) with the
-exact stdout and stderr.
+range, at the default eps and at a wide one.  An outcome is the exit
+status (or the SystemExit code) with the exact stdout and stderr.
 """
 
 import contextlib
@@ -51,6 +51,12 @@ ARGVS = (
     ("classify", "--a", "0.7", "--b", "0.8", "--p", "1.0000000000005", "--q", "0.6"),
     ("classify", "--a", "0.4999999999995", "--b", "0.8", "--p", "0.6", "--q", "0.55"),
     ("bell", "--a", "0.7", "--p", "1.0000000000005", "--b", "1.0000000000005"),
+    # the same at a wide eps, where the clamped value shows in the printed digits
+    ("classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.4999", "--eps", "9e-4"),
+    ("classify", "--a", "0.4999", "--b", "0.8", "--p", "0.6", "--q", "0.55", "--eps", "9e-4"),
+    ("bell", "--a", "1.0005", "--p", "0.6", "--eps", "9e-4"),
+    ("bell", "--a", "0.7", "--p", "1.0005", "--b", "0.9", "--eps", "9e-4"),
+    ("region", "--a", "0.4999", "--b", "0.8", "--n", "1", "--eps", "9e-4", "--json"),
 )
 
 

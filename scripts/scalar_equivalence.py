@@ -22,13 +22,16 @@ DRAWS = 20_000
 def boundary_point(rng, line, a, b, off):
     """(p, q) on one line of the region, moved by off across it and clamped
     into [1/2, 1].  The lines: 0, q = p; 1, ap = bq; 2, (1-b)(1-q) =
-    (1-a)(1-p); 3, p = b; 4, q = a; 5, q = b; 6, ap = 1/2."""
+    (1-a)(1-p), which is p = 1 at b = 1; 3, p = b; 4, q = a; 5, q = b;
+    6, ap = 1/2."""
     u = rng.uniform(0.5, 1.0)
     if line == 0:
         p, q = u, u + off
     elif line == 1:
         p = rng.uniform(max(0.5, 0.5 * b / a), 1.0)
         q = a * p / b + off
+    elif line == 2 and b == 1.0:
+        p, q = 1.0 + off, u
     elif line == 2:
         p = rng.uniform(1.0 - 0.5 * (1.0 - b) / (1.0 - a), 1.0)
         q = 1.0 - (1.0 - a) * (1.0 - p) / (1.0 - b) + off

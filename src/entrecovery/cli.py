@@ -23,7 +23,7 @@ import functools
 import os
 import sys
 
-from .errors import InputDomainError
+from .errors import InputDomainError, require_instance, require_real_in
 from .majorization import Comparability
 from .nielsen import transform_verdict
 from .recovery import (
@@ -120,6 +120,7 @@ def _text_value(val) -> str:
 
 def parse_spectrum(text: str, tol: Tolerance) -> SchmidtSpectrum:
     """Parse comma-separated weights and canonicalize them."""
+    require_instance("spectrum", text, str)
     try:
         vals = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
@@ -202,27 +203,24 @@ def _cmd_transform(args, tol: Tolerance) -> dict:
 
 def _cmd_classify(args, tol: Tolerance) -> dict:
     prob = RecoveryProblem(args.a, args.b, tol)
-    if not tol.lt(args.b, 1.0):
+    if not tol.lt(prob.b, 1.0):
         raise CliUsageError("classify requires b < 1; use `bell` for b = 1")
-    cls = classify_point(prob, args.p, args.q)
-    x, y = product_spectra(prob, args.p, args.q)
-
-    def pair_entropy(v: float) -> float:
-        return entropy(two_qubit(v, tol).spectrum)
-
-    e_aux_before, e_aux_after = pair_entropy(args.p), pair_entropy(args.q)
+    p, q = require_real_in("p", args.p, tol.eps), require_real_in("q", args.q, tol.eps)
+    cls = classify_point(prob, p, q)
+    x, y = product_spectra(prob, p, q)
+    h_a, h_b, h_p, h_q = (entropy((v, 1.0 - v)) for v in (prob.a, prob.b, p, q))
     return {
         "command": "classify",
-        "inputs": {"a": args.a, "b": args.b, "p": args.p, "q": args.q, "eps": tol.eps},
+        "inputs": {"a": prob.a, "b": prob.b, "p": p, "q": q, "eps": tol.eps},
         "results": {
             "class": _REGION_LABEL[cls],
             "joint_before": x.values,
             "joint_after": y.values,
-            "entropy_source": pair_entropy(args.a),
-            "entropy_target": pair_entropy(args.b),
-            "entropy_aux_before": e_aux_before,
-            "entropy_aux_after": e_aux_after,
-            "recovered": e_aux_after - e_aux_before,
+            "entropy_source": h_a,
+            "entropy_target": h_b,
+            "entropy_aux_before": h_p,
+            "entropy_aux_after": h_q,
+            "recovered": h_q - h_p,
         },
         "status": 0 if cls in _RECOVERY_CLASSES else 1,
     }
@@ -243,7 +241,7 @@ def _cmd_region(args, tol: Tolerance) -> dict:
         sys.stdout.flush()
     return {
         "command": "region",
-        "inputs": {"a": args.a, "b": args.b, "n": args.n, "eps": tol.eps,
+        "inputs": {"a": prob.a, "b": prob.b, "n": args.n, "eps": tol.eps,
                    "out": args.out if args.out is not None else "-"},
         "results": {
             "cells": (args.n + 1) * (args.n + 1),
@@ -254,19 +252,21 @@ def _cmd_region(args, tol: Tolerance) -> dict:
 
 
 def _cmd_bell(args, tol: Tolerance) -> dict:
-    inputs = {"a": args.a, "p": args.p, "b": args.b, "eps": tol.eps}
     if args.b is None:
-        del inputs["b"]
-        ok = can_concentrate_bell(args.a, args.p, tol)
-        results = {"concentratable": ok, "ap": args.a * args.p}
+        a, p = require_real_in("a", args.a, tol.eps), require_real_in("p", args.p, tol.eps)
+        ok = can_concentrate_bell(a, p, tol)
+        inputs = {"a": a, "p": p, "eps": tol.eps}
+        results = {"concentratable": ok, "ap": a * p}
     else:
         prob = RecoveryProblem(args.a, args.b, tol)
-        if tol.lt(args.b, 1.0):
-            ok = is_feasible_closed_form(prob, args.p, 0.5)
+        p = require_real_in("p", args.p, tol.eps)
+        if tol.lt(prob.b, 1.0):
+            ok = is_feasible_closed_form(prob, p, 0.5)
         else:
             # product-state target: the closed form degenerates, use the
             # concentration predicate directly
-            ok = can_concentrate_bell(args.a, args.p, tol)
+            ok = can_concentrate_bell(prob.a, p, tol)
+        inputs = {"a": prob.a, "p": p, "b": prob.b, "eps": tol.eps}
         results = {"bound": bell_bound(prob), "feasible_with_residual": ok}
     return {"command": "bell", "inputs": inputs, "results": results,
             "status": 0 if ok else 1}

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import entrecovery
 from conftest import cli_equivalence, grid_equivalence
 from entrecovery import (
+    DEFAULT_TOL,
+    InvalidTypeError,
     RecoveryProblem,
     RegionClass,
     Tolerance,
@@ -83,6 +85,12 @@ def test_transform_unsorted_input_canonicalized(capsys):
     assert code == 0
     assert "source: (0.7, 0.3)" in out
     assert "target: (0.8, 0.2)" in out
+
+
+@pytest.mark.parametrize("text", [None, 0.7, b"0.7,0.3", ["0.7", "0.3"]])
+def test_parse_spectrum_rejects_text_that_is_not_a_str(text):
+    with pytest.raises(InvalidTypeError, match=re.escape(f"got {text!r}")):
+        cli.parse_spectrum(text, DEFAULT_TOL)
 
 
 def test_classify_complete(capsys):
@@ -564,6 +572,34 @@ def test_domain_errors_name_the_value_out_of_range(capsys):
         assert (code, out, err) == (2, "", f"error: a must lie in [1/2, 1], got {value}\n")
 
 
+# At a wide eps, a coefficient within eps outside [1/2, 1] is clamped onto the
+# end, and the record prints the clamped value and decides and takes its
+# entropies on it: q = 0.4999 is q = 1/2, whose pair entropy is 1.
+WIDE_EPS_FIELDS = [
+    (("classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.4999", "--eps", "9e-4"),
+     {"q": "0.5", "joint_after": "(0.4, 0.4, 0.1, 0.1)", "entropy_aux_after": "1"}),
+    (("classify", "--a", "0.4999", "--b", "0.8", "--p", "0.6", "--q", "0.55", "--eps", "9e-4"),
+     {"a": "0.5", "entropy_source": "1"}),
+    (("bell", "--a", "1.0005", "--p", "0.6", "--eps", "9e-4"),
+     {"a": "1", "ap": "0.6", "concentratable": "false"}),
+    (("bell", "--a", "0.7", "--p", "1.0005", "--b", "0.9", "--eps", "9e-4"),
+     {"p": "1", "b": "0.9"}),
+    (("region", "--a", "0.4999", "--b", "0.8", "--n", "1", "--eps", "9e-4", "--json"),
+     {"a": "0.5", "b": "0.8"}),
+]
+
+
+@pytest.mark.parametrize("argv,want", WIDE_EPS_FIELDS,
+                         ids=[" ".join(argv) for argv, _ in WIDE_EPS_FIELDS])
+def test_wide_eps_records_print_the_clamped_coefficients(argv, want):
+    assert argv in cli_equivalence.ARGVS  # and so compared across revisions
+    status, out, err = cli_equivalence.run(entrecovery, argv)
+    record = err if argv[0] == "region" else out  # region's CSV is on stdout
+    assert status in (0, 1)
+    shown = printed_fields(record, "--json" in argv)
+    assert {key: shown[key] for key in want} == want
+
+
 # One parser serves every main call of a process (build_parser is cached).
 # argparse keeps nothing from one parse_args call to the next: each fills a
 # fresh Namespace, and usage, errors and --help are formatted at the
@@ -653,8 +689,8 @@ def test_usage_error_is_formatted_at_the_width_of_the_moment(monkeypatch):
 # The argv net: command lines built from the four commands, their flags and
 # hostile values, in-band ones included (within eps outside [1/2, 1], or [0, 1]
 # for a weight), end in an exit status or SystemExit code with one error line
-# on exit 2, never a traceback, and no record prints NaN or a negative weight
-# or entropy.
+# on exit 2, never a traceback, and no record prints NaN, a negative weight
+# or entropy, or a coefficient outside [1/2, 1].
 SCALARS = ("0.7", "0.8", "0.6", "0.55", "0.5", "1", "0.3", "1.2", "-1", "-0",
            "nan", "inf", "-inf", "1e400", "", "junk",
            "1.0000000000005", "0.4999999999995", "-0.0000000000005", "1.0005", "0.4995")
@@ -674,6 +710,8 @@ COMMAND_FLAGS = {
     "region": ("--a", "--b", "--n", "--out"),
     "bell": ("--a", "--p", "--b"),
 }
+# the coefficients classify, bell and region decided on; transform prints none
+PRINTED_COEFFICIENTS = {"a", "b", "p", "q"}
 PRINTED_NONNEGATIVE = {"source", "target", "joint_before", "joint_after", "entropy_source",
                        "entropy_target", "entropy_aux_before", "entropy_aux_after"}
 
@@ -705,6 +743,8 @@ def printed_fields(record: str, as_json: bool) -> dict:
 @example(["classify", "--a", "0.7", "--b", "1.0000000000005", "--p", "0.6", "--q", "0.8",
           "--json"])
 @example(["transform", "--a", "1.0000000000005", "--target", "0.7,0.3"])
+@example(["classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.4999", "--eps", "9e-4"])
+@example(["bell", "--a", "1.0005", "--p", "0.6", "--eps", "9e-4"])
 @settings(max_examples=300, deadline=None)
 def test_hostile_command_lines_exit_cleanly(tmp_path_factory, argv):
     folder = tmp_path_factory.getbasetemp() / "argv-net"
@@ -729,3 +769,5 @@ def test_hostile_command_lines_exit_cleanly(tmp_path_factory, argv):
         if key in PRINTED_NONNEGATIVE:
             numbers = re.findall(r"[^\s,()\[\]]+", shown)
             assert not any(x.startswith("-") for x in numbers), (argv, key, shown)
+        if key in PRINTED_COEFFICIENTS:
+            assert 0.5 <= float(shown) <= 1.0, (argv, key, shown)

@@ -1,9 +1,13 @@
 """Smoke tests of the scalar draws of scripts/scalar_equivalence.py and the
 command lines of scripts/cli_equivalence.py through scripts/side_by_side.py
 without git: this tree against itself, imported side by side, against one
-altered entry point and against a CLI that prints other bytes."""
+altered entry point and against a CLI that prints other bytes.  Also the
+boundary points that the draws and tests/test_scalar_spec.py share."""
 
+import random
 import types
+
+import pytest
 
 import entrecovery
 import entrecovery.cli
@@ -17,6 +21,18 @@ ENTRY_POINTS = {"RecoveryProblem", "classify_point", "is_feasible_closed_form",
 def first_draws():
     """The (outcomes, draws) check of the first 1000 scalar draws."""
     return [(scalar_equivalence.outcomes, scalar_equivalence.draws(0, 1000))]
+
+
+@pytest.mark.parametrize("line", range(7))
+def test_boundary_points_at_b_equal_1_lie_in_the_range(line):
+    # at b = 1 line 2, (1-b)(1-q) = (1-a)(1-p), is p = 1
+    rng = random.Random(f"b=1:{line}")
+    for a in (0.5, 0.7, 0.999):
+        for off in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3):
+            p, q = scalar_equivalence.boundary_point(rng, line, a, 1.0, off)
+            assert 0.5 <= p <= 1.0 and 0.5 <= q <= 1.0, (a, off, p, q)
+            if line == 2:
+                assert p == min(1.0, 1.0 + off), (a, off, p)
 
 
 def test_scalar_equivalence_finds_a_tree_equal_to_itself():
@@ -50,7 +66,7 @@ CLI_CHECK = [(cli_equivalence.outcomes, cli_equivalence.ARGVS)]
 
 def test_cli_equivalence_finds_a_tree_equal_to_itself():
     calls, diffs = compare_with_itself(CLI_CHECK)
-    assert calls == {"cli transform": 8, "cli classify": 15, "cli bell": 5, "cli region": 2,
+    assert calls == {"cli transform": 8, "cli classify": 17, "cli bell": 7, "cli region": 3,
                      "cli --help": 1}
     assert diffs == []
     # the list covers both SystemExit codes and every exit status

@@ -343,11 +343,9 @@ def test_closed_form_and_bell_match_the_spec_near_every_line(eps):
         base = sample_problem(rng)
         b = rng.choice((base.b, 1.0 + rng.choice((-3, -2, -1, 1)) * eps))
         prob = RecoveryProblem(base.a, b, tol)  # b = 1 + eps is stored as 1
-        # at b = 1 line 2, (1-b)(1-q) = (1-a)(1-p), is p = 1: the range ends cover it
-        lines = range(7) if prob.b < 1.0 else (0, 1, 3, 4, 5, 6)
         points = [(rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)) for _ in range(5)]
         for k in range(-3, 4):
-            points += [on_boundary_line(rng, line, prob.a, prob.b, k * eps) for line in lines]
+            points += [on_boundary_line(rng, line, prob.a, prob.b, k * eps) for line in range(7)]
             u = rng.uniform(0.5, 1.0)
             points += [(range_end(rng, eps), u), (u, range_end(rng, eps))]
         for p, q in points:
