@@ -4,9 +4,10 @@ A fixed list of argvs, each run in process through the package's cli.main:
 the golden transcripts of tests/test_cli.py, the other verdicts and exit
 statuses that its tests reach, a usage error and --help (both end in
 SystemExit), CLI usage errors, the domain errors of out-of-range, NaN
-and infinite coefficients, and coefficients within eps outside their
-range, at the default eps and at a wide one.  An outcome is the exit
-status (or the SystemExit code) with the exact stdout and stderr.
+and infinite coefficients, coefficients within eps outside their range,
+at the default eps and at a wide one, and a b within eps below 1.  An
+outcome is the exit status (or the SystemExit code) with the exact stdout
+and stderr.
 """
 
 import contextlib
@@ -57,6 +58,11 @@ ARGVS = (
     ("bell", "--a", "1.0005", "--p", "0.6", "--eps", "9e-4"),
     ("bell", "--a", "0.7", "--p", "1.0005", "--b", "0.9", "--eps", "9e-4"),
     ("region", "--a", "0.4999", "--b", "0.8", "--n", "1", "--eps", "9e-4", "--json"),
+    # b within eps below 1, which the gate stores as 1: bell and region print
+    # b = 1 and decide on it, and classify refuses it as it refuses b = 1
+    ("bell", "--a", "0.7", "--p", "0.6", "--b", "0.9995", "--eps", "9e-4"),
+    ("region", "--a", "0.7", "--b", "0.9995", "--n", "2", "--eps", "9e-4", "--json"),
+    ("classify", "--a", "0.7", "--b", "0.9995", "--p", "0.8", "--q", "0.6", "--eps", "9e-4"),
 )
 
 

@@ -31,14 +31,15 @@ SWAP_BLOCK = (0.7, 0.8, 9e-4)
 
 def edge_of_range(rng, low_a: bool, high_b: bool):
     """Random (a, b, eps) with a in [1/2 - eps, 1/2) if low_a, else in
-    [1/2, 0.9], and b in (1, 1 + eps] if high_b, else in [a + 2 eps, 1]."""
+    [1/2, 0.9], and b in [1 - eps, 1 + eps] if high_b, else in
+    [a + 2 eps, 1].  RecoveryProblem stores a high_b b as 1, from either side."""
     eps = 10 ** rng.uniform(-12, -3)
     if low_a:
         a = min(0.5 - rng.uniform(0.0, eps), math.nextafter(0.5, 0.0))
     else:
         a = rng.uniform(0.5, 0.9)
     if high_b:
-        b = max(1.0 + rng.uniform(0.0, eps), math.nextafter(1.0, 2.0))
+        b = 1.0 + rng.uniform(-eps, eps)
     else:
         b = rng.uniform(a + 2 * eps, 1.0)
     return a, b, eps

@@ -58,7 +58,7 @@ def _problem(rng, eps):
     a = rng.uniform(0.5, 0.95)
     if shape == 0:  # b - a within a few eps of eps
         return a, a + eps + rng.randint(-2, 2) * eps / 2
-    if shape == 1:  # a at an end of its range, b near 1 (the closed form's b < 1)
+    if shape == 1:  # a at an end of its range, b at k eps from 1: stored as 1 within eps
         return range_end(rng, eps), 1.0 + rng.randint(-3, 3) * eps
     if shape == 2:  # NaN or far out of range
         return rng.choice(((math.nan, 0.8), (0.7, math.nan), (0.3, 0.8), (0.7, 1.2)))

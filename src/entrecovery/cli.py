@@ -203,7 +203,7 @@ def _cmd_transform(args, tol: Tolerance) -> dict:
 
 def _cmd_classify(args, tol: Tolerance) -> dict:
     prob = RecoveryProblem(args.a, args.b, tol)
-    if not tol.lt(prob.b, 1.0):
+    if prob.b == 1.0:  # the gate stores a b within eps of 1 as 1
         raise CliUsageError("classify requires b < 1; use `bell` for b = 1")
     p, q = require_real_in("p", args.p, tol.eps), require_real_in("q", args.q, tol.eps)
     cls = classify_point(prob, p, q)
@@ -260,7 +260,7 @@ def _cmd_bell(args, tol: Tolerance) -> dict:
     else:
         prob = RecoveryProblem(args.a, args.b, tol)
         p = require_real_in("p", args.p, tol.eps)
-        if tol.lt(prob.b, 1.0):
+        if prob.b < 1.0:
             ok = is_feasible_closed_form(prob, p, 0.5)
         else:
             # product-state target: the closed form degenerates, use the

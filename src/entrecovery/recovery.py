@@ -64,10 +64,12 @@ MAX_GRID_N = 10_000
 class RecoveryProblem(FrozenValue):
     """Fixed source/target parameters 1/2 <= a < b <= 1 of a recovery scenario.
 
-    a or b within eps outside that range is clamped onto its end, and then
-    a < b must hold strictly beyond eps (equal pairs need no recovery).
-    b = 1 (product-state target, i.e. concentration) is a valid problem, but
-    the closed-form region requires b < 1; see is_feasible_closed_form.
+    a or b within eps outside that range is clamped onto its end.  b within
+    eps of 1, from either side, is stored as exactly 1.0: b = 1 (product-state
+    target, i.e. concentration) is a valid problem, but the closed-form
+    region requires b < 1 (see is_feasible_closed_form), and every consumer
+    tests the stored b against 1.0 alone.  Then a < b must hold strictly
+    beyond eps on the stored values (equal pairs need no recovery).
     """
 
     __slots__ = __match_args__ = ("a", "b", "tol")
@@ -75,13 +77,16 @@ class RecoveryProblem(FrozenValue):
     def __init__(self, a: float, b: float, tol: Tolerance = DEFAULT_TOL):
         if type(tol) is not Tolerance:
             require_instance("tol", tol, Tolerance)
-        eps = tol.eps  # tol.lt(a, b) inline
+        eps = tol.eps  # tol.lt(a, b) and tol.lt(b, 1.0) inline
         if not (type(a) is float and type(b) is float
-                and 0.5 <= a and b <= 1.0 and a < b - eps):
-            # a value out of range (NaN and inf included) is named before the
-            # order of a and b is judged on the clamped values, whatever its type
+                and 0.5 <= a and a < b - eps and (b == 1.0 or b < 1.0 - eps)):
+            # a value out of range (NaN and inf included) is named before b is
+            # stored and the order of a and b judged on the stored values,
+            # whatever their type
             a = require_real_in("a", a, eps)
             b = require_real_in("b", b, eps)
+            if not tol.lt(b, 1.0):
+                b = 1.0
             if not a < b - eps:
                 raise OutOfRangeError(f"need a < b strictly beyond eps, got a={a}, b={b}")
         object.__setattr__(self, "a", a)
@@ -146,10 +151,14 @@ _LADDER_TABLE = bytes(
 
 
 def _require_int(name: str, v) -> int:
-    # a plain int, so RegionGrid's axis values are plain floats
-    if isinstance(v, bool) or not hasattr(v, "__index__"):
-        raise InvalidTypeError(f"{name} must be an integer, got {v!r}")
-    return operator.index(v)
+    # a plain int, so RegionGrid's axis values are plain floats; numpy's
+    # TypeError for an array that is not a 0-d integer one is turned into ours
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise InvalidTypeError(f"{name} must be an integer, got {v!r}")
 
 
 def _require_resolution(n) -> int:
@@ -212,8 +221,10 @@ def is_feasible_closed_form(prob: RecoveryProblem, p: float, q: float) -> bool:
     Parameters
     ----------
     prob : RecoveryProblem
-        Problem with b < 1 strictly (the boundary-line slopes degenerate at
-        b = 1; concentration targets are handled by can_concentrate_bell).
+        Problem with b < 1 (the boundary-line slopes degenerate at b = 1;
+        concentration targets are handled by can_concentrate_bell).
+        RecoveryProblem stores a b within eps of 1 as 1.0, which is the one
+        b refused here.
     p, q : float
         Auxiliary-pair parameters, 1/2 <= p, q <= 1.
 
@@ -233,7 +244,7 @@ def is_feasible_closed_form(prob: RecoveryProblem, p: float, q: float) -> bool:
     if type(prob) is not RecoveryProblem:
         require_instance("prob", prob, RecoveryProblem)
     a, b, eps = prob.a, prob.b, prob.tol.eps
-    if not b < 1.0 - eps:  # tol.lt(b, 1.0)
+    if b == 1.0:
         raise OutOfRangeError("closed-form region requires b < 1")
     if not (type(p) is float and type(q) is float and 0.5 <= p <= 1.0 and 0.5 <= q <= 1.0):
         p = require_real_in("p", p, eps)

@@ -574,7 +574,8 @@ def test_domain_errors_name_the_value_out_of_range(capsys):
 
 # At a wide eps, a coefficient within eps outside [1/2, 1] is clamped onto the
 # end, and the record prints the clamped value and decides and takes its
-# entropies on it: q = 0.4999 is q = 1/2, whose pair entropy is 1.
+# entropies on it: q = 0.4999 is q = 1/2, whose pair entropy is 1.  A b
+# within eps below 1 is stored as 1 too, so bell's bound is 1/(2a).
 WIDE_EPS_FIELDS = [
     (("classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.4999", "--eps", "9e-4"),
      {"q": "0.5", "joint_after": "(0.4, 0.4, 0.1, 0.1)", "entropy_aux_after": "1"}),
@@ -586,6 +587,10 @@ WIDE_EPS_FIELDS = [
      {"p": "1", "b": "0.9"}),
     (("region", "--a", "0.4999", "--b", "0.8", "--n", "1", "--eps", "9e-4", "--json"),
      {"a": "0.5", "b": "0.8"}),
+    (("bell", "--a", "0.7", "--p", "0.6", "--b", "0.9995", "--eps", "9e-4"),
+     {"b": "1", "bound": "0.714285714286"}),
+    (("region", "--a", "0.7", "--b", "0.9995", "--n", "2", "--eps", "9e-4", "--json"),
+     {"b": "1.0"}),
 ]
 
 
@@ -693,7 +698,8 @@ def test_usage_error_is_formatted_at_the_width_of_the_moment(monkeypatch):
 # or entropy, or a coefficient outside [1/2, 1].
 SCALARS = ("0.7", "0.8", "0.6", "0.55", "0.5", "1", "0.3", "1.2", "-1", "-0",
            "nan", "inf", "-inf", "1e400", "", "junk",
-           "1.0000000000005", "0.4999999999995", "-0.0000000000005", "1.0005", "0.4995")
+           "1.0000000000005", "0.4999999999995", "-0.0000000000005", "1.0005", "0.4995",
+           "0.9995")
 SPECTRA = ("0.7,0.3", "0.5,0.5", "1,0", "0.6,0.4,0", "0.25,0.25,0.25,0.25",
            "1.0000000000005,-0.0000000000005", "0.5000000000005,0.4999999999995,-0",
            "0.7,0.4", "-0.1,1.1", "nan,1", "1e400,0", "", ",", "junk")
@@ -745,6 +751,7 @@ def printed_fields(record: str, as_json: bool) -> dict:
 @example(["transform", "--a", "1.0000000000005", "--target", "0.7,0.3"])
 @example(["classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.4999", "--eps", "9e-4"])
 @example(["bell", "--a", "1.0005", "--p", "0.6", "--eps", "9e-4"])
+@example(["bell", "--a", "0.7", "--p", "0.6", "--b", "0.9995", "--eps", "9e-4"])
 @settings(max_examples=300, deadline=None)
 def test_hostile_command_lines_exit_cleanly(tmp_path_factory, argv):
     folder = tmp_path_factory.getbasetemp() / "argv-net"

@@ -95,6 +95,20 @@ def test_the_unit_range_is_written_in_one_place():
     assert sum(found.values()) == 1, found
 
 
+def test_whether_b_counts_as_one_is_decided_in_one_place():
+    # RecoveryProblem stores a b within eps of 1 as 1.0, so the test of b
+    # against 1 - eps is written once, and the command-line front end, which
+    # routes on the stored b, compares no value within a Tolerance
+    found = {path.name: path.read_text(encoding="utf-8").count("1.0 - eps")
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert sum(found.values()) == 1, found
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    calls = [f"cli.py:{node.lineno} calls .{node.func.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("lt", "leq", "gt", "geq", "close")]
+    assert calls == []
+
+
 def test_no_dataclasses_import_in_the_package():
     # importing dataclasses pulls in inspect, ast, dis and tokenize, which
     # every short-lived CLI process would pay for; the value classes derive

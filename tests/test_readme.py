@@ -56,7 +56,7 @@ def command_line_transcripts() -> list[tuple[list[str], str]]:
 
 def test_readme_command_line_transcripts_match_the_program(capsys):
     transcripts = command_line_transcripts()
-    assert [argv[0] for argv, _ in transcripts] == ["transform", "classify", "bell", "bell"]
+    assert [argv[0] for argv, _ in transcripts] == ["transform", "classify", "bell", "bell", "bell"]
     for argv, shown in transcripts:
         code = main(argv)
         out = capsys.readouterr().out

@@ -443,7 +443,15 @@ def test_region_grid_resolution_limits():
         region_grid(prob, 10_001)
 
 
-@pytest.mark.parametrize("bad", [2.5, 1.0, "3", True, None])
+# numpy arrays other than a 0-d integer one, and numpy's bool, are no
+# integer either: operator.index raises numpy's TypeError for them
+NUMPY_NON_INTEGERS = [
+    pytest.param(v, id=repr(v))
+    for v in (np.array([3]), np.array(3.0), np.array([1, 2]), np.array(True), np.True_)
+]
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.0, "3", True, None, *NUMPY_NON_INTEGERS])
 def test_region_grid_rejects_non_integer_resolution(bad):
     with pytest.raises(InvalidTypeError, match=f"got {re.escape(repr(bad))}$"):
         region_grid(RecoveryProblem(0.7, 0.8), bad)
@@ -466,12 +474,13 @@ def test_region_grid_indices_are_checked():
             g.class_at(k, 0)
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, True, "1", None])
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "1", None, *NUMPY_NON_INTEGERS])
 @pytest.mark.parametrize(
     "access",
     [lambda g, k: g.p_value(k), lambda g, k: g.q_value(k),
-     lambda g, k: g.class_at(k, 1), lambda g, k: g.class_at(1, k)],
-    ids=["p_value", "q_value", "class_at-i", "class_at-j"],
+     lambda g, k: g.class_at(k, 1), lambda g, k: g.class_at(1, k),
+     lambda g, k: RegionGrid(0.7, 0.8, k, g.codes)],
+    ids=["p_value", "q_value", "class_at-i", "class_at-j", "RegionGrid-n"],
 )
 def test_region_grid_indices_take_the_resolution_type_check(access, bad):
     # the same integer check as n: a bool or float is no index, not even 2.0
@@ -661,9 +670,13 @@ def test_region_grid_checks_its_resolution_as_region_grid_does(n, side, error, m
 
 
 def test_region_grid_stores_its_resolution_as_a_plain_int():
-    g = RegionGrid(0.7, 0.8, np.int64(2), np.zeros((3, 3), np.uint8))
-    assert type(g.n) is int and g.n == 2
-    assert type(g.p_value(1)) is float and g.p_value(1) == 0.75
+    # a numpy integer, a 0-d integer array included, is an integer
+    for two in (np.int64(2), np.array(2)):
+        g = RegionGrid(0.7, 0.8, two, np.zeros((3, 3), np.uint8))
+        assert type(g.n) is int and g.n == 2
+        assert type(g.p_value(1)) is float and g.p_value(1) == 0.75
+        assert g.q_value(two) == 1.0 and g.class_at(two, two) is RegionClass.COMPLETE_RECOVERY
+        assert region_grid(RecoveryProblem(0.7, 0.8), two).n == 2
 
 
 def test_a_code_no_class_has_is_a_typed_error_and_writes_nothing():
@@ -714,8 +727,8 @@ def test_region_grid_rejects_codes_that_are_not_its_cells(codes, use, shown):
 @pytest.mark.parametrize("low_a,high_b", [(True, False), (False, True), (True, True)],
                          ids=["a-below-half", "b-above-one", "both"])
 def test_region_grid_edge_of_range_matches_scalar_classifier(low_a, high_b):
-    # RecoveryProblem clamps a in [1/2 - eps, 1/2) onto 1/2 and b in
-    # (1, 1 + eps] onto 1, where the grid meets the ties of the next test
+    # RecoveryProblem clamps a in [1/2 - eps, 1/2) onto 1/2 and stores b in
+    # [1 - eps, 1 + eps] as 1, where the grid meets the ties of the next test
     rng = random.Random(67)
     for _ in range(8):
         _assert_grid_matches_scalar_classifier(

@@ -276,10 +276,13 @@ def spec_unit(v, tol):
 
 
 def spec_problem(a, b, tol):
-    # (a, b) as RecoveryProblem stores them: clamped, then ordered beyond eps
+    # (a, b) as RecoveryProblem stores them: clamped, b within eps of 1 as 1,
+    # then ordered beyond eps
     if not (spec_unit(a, tol) and spec_unit(b, tol)):
         return OutOfRangeError
     a, b = spec_clamp(a), spec_clamp(b)
+    if not tol.lt(b, 1.0):
+        b = 1.0
     return (a, b) if tol.lt(a, b) else OutOfRangeError
 
 
@@ -309,15 +312,16 @@ def outcome(fn, *args):
 
 @pytest.mark.parametrize("eps", EPSILONS)
 def test_recovery_problem_gate_matches_the_spec(eps):
-    # a and b at k eps from the ends of the range, and b - a at k eps / 2
-    # from eps
+    # a and b at k eps from the ends of the range, b - a at k eps / 2 from
+    # eps, and a at k eps / 2 from 1 - 2 eps with b within eps below 1
     rng = random.Random(f"problem:{eps}")
     tol = Tolerance(eps)
     pairs = [(math.nan, 0.8), (0.7, math.nan)]
     for k in range(-3, 4):
         pairs += [(0.5 - eps + k * eps, rng.uniform(0.6, 1.0)),
                   (rng.uniform(0.5, 0.9), 1.0 + eps + k * eps),
-                  (range_end(rng, eps), range_end(rng, eps))]
+                  (range_end(rng, eps), range_end(rng, eps)),
+                  (1.0 - 2 * eps + k * eps / 2, 1.0 - rng.uniform(0.0, eps))]
         a = rng.uniform(0.5, 0.99)
         pairs.append((a, a + eps + k * eps / 2))
     seen = set()
@@ -342,7 +346,7 @@ def test_closed_form_and_bell_match_the_spec_near_every_line(eps):
     for _ in range(25):
         base = sample_problem(rng)
         b = rng.choice((base.b, 1.0 + rng.choice((-3, -2, -1, 1)) * eps))
-        prob = RecoveryProblem(base.a, b, tol)  # b = 1 + eps is stored as 1
+        prob = RecoveryProblem(base.a, b, tol)  # b within eps of 1 is stored as 1
         points = [(rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)) for _ in range(5)]
         for k in range(-3, 4):
             points += [on_boundary_line(rng, line, prob.a, prob.b, k * eps) for line in range(7)]
