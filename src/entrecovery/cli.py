@@ -130,7 +130,7 @@ def parse_spectrum(text: str, tol: Tolerance) -> SchmidtSpectrum:
     return make_spectrum(vals, tol)
 
 
-def write_region_csv(grid: RegionGrid, fh) -> None:
+def write_region_csv(grid: RegionGrid, fh) -> dict[RegionClass, int]:
     """Emit the grid as `p,q,class` rows, one write per grid row, deterministically.
 
     A grid row is a few runs of equal codes, and each run [s, e) of code c
@@ -139,19 +139,17 @@ def write_region_csv(grid: RegionGrid, fh) -> None:
     cell.  The run edges come from comparing neighbouring codes, a block of
     about _BLOCK_CELLS cells at a time: its bool mask, index arrays and their
     lists are the writer's only memory beyond the six (n + 1)-string tail
-    lists and one row string, even when every cell starts a run.  A code no
-    class has raises OutOfRangeError before the first write.
+    lists and one row string, even when every cell starts a run.  Returns
+    grid.counts(), taken before the first write: it raises on a bad code.
     """
+    if type(grid) is not RegionGrid:
+        require_instance("grid", grid, RegionGrid)
     import numpy as np
 
+    counts = grid.counts()  # before codes is read, which drops region_grid's runs
     codes = grid.codes
     m = grid.n + 1
     labels = [f"{cls.value}\n" for cls in RegionClass]
-    # a caller's codes may be signed; region_grid's uint8 codes skip the min
-    if codes.max() >= len(labels) or (codes.dtype.kind != "u" and codes.min() < 0):
-        # class_at raises OutOfRangeError naming the first such cell and its code
-        bad = (codes < 0) | (codes >= len(labels))
-        grid.class_at(*divmod(int(np.argmax(bad)), m))
     coords = [f"{grid.p_value(i)!r}," for i in range(m)]
     tails = [[c + label for c in coords] for label in labels]
     rows_per_block = max(1, _BLOCK_CELLS // m)
@@ -170,6 +168,7 @@ def write_region_csv(grid: RegionGrid, fh) -> None:
         for prefix, lo, hi in zip(coords[top:top + rows_per_block], firsts, firsts[1:]):
             runs = zip(run_codes[lo:hi], cols[lo:hi], cols[lo + 1:hi])
             fh.write(prefix.join(["", *[prefix.join(tails[c][s:e]) for c, s, e in runs]]))
+    return counts
 
 
 def _spectrum_arg(text: str | None, coeff: float | None, tol: Tolerance):
@@ -229,15 +228,14 @@ def _cmd_classify(args, tol: Tolerance) -> dict:
 def _cmd_region(args, tol: Tolerance) -> dict:
     prob = RecoveryProblem(args.a, args.b, tol)
     grid = region_grid(prob, args.n)
-    counts = grid.counts()  # the kernel's tally, which the writer's read of codes drops
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                write_region_csv(grid, fh)
+                counts = write_region_csv(grid, fh)
         except OSError as exc:
             raise CliUsageError(f"cannot write {args.out}: {exc}")
     else:
-        write_region_csv(grid, sys.stdout)
+        counts = write_region_csv(grid, sys.stdout)
         sys.stdout.flush()
     return {
         "command": "region",

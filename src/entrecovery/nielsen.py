@@ -25,12 +25,18 @@ def can_transform(
 
 
 class TransformVerdict(FrozenValue):
-    """Comparability of a source/target pair plus both entanglement entropies."""
+    """Comparability of a source/target pair plus both entanglement entropies.
+
+    comparability must be a Comparability, else InvalidTypeError; the two
+    entropies are trusted, as transform_verdict computes them.
+    """
 
     __slots__ = __match_args__ = ("comparability", "entropy_source", "entropy_target")
 
     def __init__(self, comparability: Comparability, entropy_source: float,
                  entropy_target: float):
+        if type(comparability) is not Comparability:
+            require_instance("comparability", comparability, Comparability)
         object.__setattr__(self, "comparability", comparability)
         object.__setattr__(self, "entropy_source", entropy_source)
         object.__setattr__(self, "entropy_target", entropy_target)

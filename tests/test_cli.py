@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import errno
 import hashlib
@@ -189,8 +190,8 @@ def test_region_domain_errors(tmp_path, capsys):
 
 
 def test_region_summary_takes_the_kernel_tally(tmp_path, capsys, monkeypatch):
-    # the summary's counts are taken while the grid still holds region_grid's
-    # runs, before the CSV writer reads codes and so drops them
+    # the CSV writer takes the summary's counts while the grid still holds
+    # region_grid's runs, before its own read of codes drops them
     tallied = []
     counts = entrecovery.RegionGrid.counts
 
@@ -223,9 +224,13 @@ def reference_region_csv(grid) -> str:
 
 
 def _assert_writer_matches_reference(grid):
+    # the per-cell tally of class_at is the reference for the returned census
+    cells = range(grid.n + 1)
+    tally = collections.Counter(grid.class_at(i, j) for i in cells for j in cells)
     buf = io.StringIO()
-    write_region_csv(grid, buf)
+    counts = write_region_csv(grid, buf)
     assert buf.getvalue() == reference_region_csv(grid), (grid.a, grid.b, grid.n)
+    assert counts == {cls: tally[cls] for cls in RegionClass}, (grid.a, grid.b, grid.n)
 
 
 def test_write_region_csv_matches_per_cell_reference_on_family_grids():

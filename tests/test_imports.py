@@ -95,6 +95,23 @@ def test_the_unit_range_is_written_in_one_place():
     assert sum(found.values()) == 1, found
 
 
+def test_the_codes_of_a_grid_are_judged_in_one_place():
+    # RegionGrid.counts() judges a grid's codes for the CSV writer, so the
+    # command-line front end calls no class_at and compares no codes, nor
+    # anything with the class count
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = [f"cli.py:{node.lineno} calls .class_at" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "class_at"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            names = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                     for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+            if names & {"codes", "len"}:
+                found.append(f"cli.py:{node.lineno} compares {sorted(names)}")
+    assert found == []
+
+
 def test_whether_b_counts_as_one_is_decided_in_one_place():
     # RecoveryProblem stores a b within eps of 1 as 1.0, so the test of b
     # against 1 - eps is written once, and the command-line front end, which

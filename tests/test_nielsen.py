@@ -1,9 +1,12 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrecovery import (
     Comparability,
+    InvalidTypeError,
     Tolerance,
+    TransformVerdict,
     can_transform,
     make_spectrum,
     transform_verdict,
@@ -48,6 +51,12 @@ def test_verdict_incomparable_reports_entropies():
     assert v.comparability is Comparability.INCOMPARABLE
     assert not v.forward and not v.backward
     assert v.entropy_source > 0 and v.entropy_target > 0
+
+
+def test_verdict_rejects_a_comparability_that_is_not_a_member():
+    # a misspelt comparability would read as incomparable: neither direction holds
+    with pytest.raises(InvalidTypeError, match="comparability must be a Comparability"):
+        TransformVerdict("junk", 0.88, 0.72)
 
 
 def test_prefix_and_elementwise_routes_split_inside_the_eps_band(capsys):

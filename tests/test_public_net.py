@@ -1,12 +1,13 @@
 """The standing net over the package's public names: each callable of
-entrecovery.__all__, and RegionGrid's index methods, called with each of
-its parameters in turn set to a hostile value, returns or raises an
-InputDomainError, never a bare TypeError, AttributeError or numpy error.
-The one other exception allowed is IndexError, from RegionGrid's index
-methods, for an integer outside the grid."""
+entrecovery.__all__, RegionGrid's index methods and cli.write_region_csv,
+called with each of its parameters in turn set to a hostile value, returns
+or raises an InputDomainError, never a bare TypeError, AttributeError or
+numpy error.  The one other exception allowed is IndexError, from
+RegionGrid's index methods, for an integer outside the grid."""
 
 import enum
 import inspect
+import io
 import math
 import operator
 from decimal import Decimal
@@ -40,6 +41,7 @@ from entrecovery import (
     transform_verdict,
     two_qubit,
 )
+from entrecovery import cli
 
 HOSTILE = (
     None, True, False, 0, -1, 2, 10**400, -0.0, 0.3, 1.5, math.nan, math.inf, -math.inf,
@@ -76,6 +78,7 @@ CALLS = {
     "RegionGrid.p_value": (GRID.p_value, (2,)),
     "RegionGrid.q_value": (GRID.q_value, (2,)),
     "RegionGrid.class_at": (GRID.class_at, (2, 3)),
+    "cli.write_region_csv": (cli.write_region_csv, (GRID, io.StringIO())),
 }
 
 # parameters the package trusts, each with its reason
@@ -83,8 +86,13 @@ TRUSTED = {
     "SchmidtSpectrum.values": "direct construction trusts its values; "
                               "make_spectrum is the checked constructor",
     "entropy.s": "trusts its weights, as its docstring says; make_spectrum checks them",
+    "TransformVerdict.entropy_source": "trusted, as its docstring says; "
+                                       "transform_verdict computes it",
+    "TransformVerdict.entropy_target": "trusted, as its docstring says; "
+                                       "transform_verdict computes it",
     "RegionGrid.a": "stored as region_grid passes it; the grid's methods never use it",
     "RegionGrid.b": "stored as region_grid passes it; the grid's methods never use it",
+    "cli.write_region_csv.fh": "the caller's file object; main turns its OSError into exit 2",
 }
 
 

@@ -271,9 +271,3 @@ def test_entropy_maximized_at_uniform():
 @given(st.floats(0.0, 1.0, allow_nan=False))
 def test_two_qubit_mirror_symmetry(a):
     assert two_qubit(a).spectrum.values == two_qubit(1.0 - a).spectrum.values
-
-
-def test_spectrum_is_immutable():
-    s = make_spectrum([0.6, 0.4])
-    with pytest.raises(AttributeError):
-        s.values = (1.0,)
