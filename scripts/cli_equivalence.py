@@ -5,9 +5,9 @@ the golden transcripts of tests/test_cli.py, the other verdicts and exit
 statuses that its tests reach, a usage error and --help (both end in
 SystemExit), CLI usage errors, the domain errors of out-of-range, NaN
 and infinite coefficients, coefficients within eps outside their range,
-at the default eps and at a wide one, and a b within eps below 1.  An
-outcome is the exit status (or the SystemExit code) with the exact stdout
-and stderr.
+at the default eps and at a wide one, a b within eps below 1, and both
+sides of the tie ap = 1/2 between bell and classify.  An outcome is the
+exit status (or the SystemExit code) with the exact stdout and stderr.
 """
 
 import contextlib
@@ -35,13 +35,13 @@ ARGVS = (
     ("classify", "--a", "0.7", "--b", "0.8", "--p", "0.8", "--q", "0.7"),
     ("classify", "--a", "0.7", "--b", "0.8", "--p", "0.9", "--q", "0.55"),
     ("bell", "--a", "0.6", "--p", "0.7", "--b", "1.0"),
+    ("classify", "--a", "0.7", "--b", "1.0", "--p", "0.6", "--q", "0.55"),
     # argparse's own exits: a missing argument, and --help
     ("classify", "--a", "0.7", "--b", "0.8", "--p", "0.6"),
     ("--help",),
     ("classify", "--help"),
     # errors the commands raise
     ("transform", "--source", "0.7,0.3"),
-    ("classify", "--a", "0.7", "--b", "1.0", "--p", "0.6", "--q", "0.55"),
     ("classify", "--a", "nan", "--b", "0.8", "--p", "0.6", "--q", "0.55"),
     ("classify", "--a", "0.7", "--b", "nan", "--p", "0.6", "--q", "0.55"),
     ("classify", "--a", "0.3", "--b", "0.8", "--p", "0.6", "--q", "0.55"),
@@ -58,11 +58,18 @@ ARGVS = (
     ("bell", "--a", "1.0005", "--p", "0.6", "--eps", "9e-4"),
     ("bell", "--a", "0.7", "--p", "1.0005", "--b", "0.9", "--eps", "9e-4"),
     ("region", "--a", "0.4999", "--b", "0.8", "--n", "1", "--eps", "9e-4", "--json"),
-    # b within eps below 1, which the gate stores as 1: bell and region print
-    # b = 1 and decide on it, and classify refuses it as it refuses b = 1
+    # b within eps below 1, which the gate stores as 1: bell, region and
+    # classify print b = 1 and decide on it
     ("bell", "--a", "0.7", "--p", "0.6", "--b", "0.9995", "--eps", "9e-4"),
     ("region", "--a", "0.7", "--b", "0.9995", "--n", "2", "--eps", "9e-4", "--json"),
     ("classify", "--a", "0.7", "--b", "0.9995", "--p", "0.8", "--q", "0.6", "--eps", "9e-4"),
+    # both sides of the Bell tie: bell is strict beyond eps and answers no at
+    # ap = 1/2 exactly and at ap = 1/2 + 2**-55, where classify, on Nielsen's
+    # non-strict rule, answers recovery
+    ("bell", "--a", "0.5", "--p", "1"),
+    ("bell", "--a", "1", "--p", "0.5"),
+    ("bell", "--a", "0.625", "--p", "0.8", "--b", "1"),
+    ("classify", "--a", "0.625", "--b", "1", "--p", "0.8", "--q", "0.5"),
 )
 
 

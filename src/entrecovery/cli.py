@@ -32,9 +32,8 @@ from .recovery import (
     RegionGrid,
     bell_bound,
     can_concentrate_bell,
-    classify_point,
+    evaluate_point,
     is_feasible_closed_form,
-    product_spectra,
     region_grid,
 )
 from .spectra import (
@@ -202,11 +201,7 @@ def _cmd_transform(args, tol: Tolerance) -> dict:
 
 def _cmd_classify(args, tol: Tolerance) -> dict:
     prob = RecoveryProblem(args.a, args.b, tol)
-    if prob.b == 1.0:  # the gate stores a b within eps of 1 as 1
-        raise CliUsageError("classify requires b < 1; use `bell` for b = 1")
-    p, q = require_real_in("p", args.p, tol.eps), require_real_in("q", args.q, tol.eps)
-    cls = classify_point(prob, p, q)
-    x, y = product_spectra(prob, p, q)
+    cls, p, q, x, y = evaluate_point(prob, args.p, args.q)
     h_a, h_b, h_p, h_q = (entropy((v, 1.0 - v)) for v in (prob.a, prob.b, p, q))
     return {
         "command": "classify",

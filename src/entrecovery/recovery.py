@@ -264,6 +264,13 @@ def classify_point(prob: RecoveryProblem, p: float, q: float) -> RegionClass:
     precedence among the classes, with scalar arithmetic.  The closed form
     never enters; see is_feasible_closed_form.
     """
+    return evaluate_point(prob, p, q)[0]
+
+
+def evaluate_point(
+    prob: RecoveryProblem, p: float, q: float
+) -> tuple[RegionClass, float, float, SchmidtSpectrum, SchmidtSpectrum]:
+    """classify_point's one pass: its class, the gated p, q and joint spectra."""
     x, y = product_spectra(prob, p, q)  # checks prob, p and q
     a, b, eps = prob.a, prob.b, prob.tol.eps
     # the predicates see p and q as product_spectra does: clamped floats
@@ -274,7 +281,7 @@ def classify_point(prob: RecoveryProblem, p: float, q: float) -> RegionClass:
     # the Tolerance expressions inline: close, lt and, for rev, leq on the
     # prefix sums, added left to right as is_majorized_by adds them
     sx1, sy1 = x0 + x1, y0 + y1
-    return _ladder(
+    cls = _ladder(
         abs(p - b) <= eps and abs(q - a) <= eps,  # swap
         q < p - eps and _pair_entropy(p) < _pair_entropy(q) - eps,  # gain
         q < a - eps,  # below_a
@@ -283,6 +290,7 @@ def classify_point(prob: RecoveryProblem, p: float, q: float) -> RegionClass:
         y0 <= x0 + eps and sy1 <= sx1 + eps and sy1 + y2 <= sx1 + x2 + eps,  # rev
         is_majorized_by(x, y, prob.tol),  # fwd
     )
+    return cls, p, q, x, y
 
 
 def bell_bound(prob: RecoveryProblem) -> float:

@@ -113,9 +113,10 @@ def test_classify_negative_verdicts(capsys):
 
 
 def test_classify_domain_errors(capsys):
-    code, _, err = run(capsys, "classify", "--a", "0.7", "--b", "1.0",
+    # b = 1 is no domain error: the oracle answers it, as region does
+    code, out, _ = run(capsys, "classify", "--a", "0.7", "--b", "1.0",
                        "--p", "0.6", "--q", "0.55")
-    assert code == 2 and "b < 1" in err
+    assert code == 0 and "class: true-recovery" in out
     code, _, err = run(capsys, "classify", "--a", "0.8", "--b", "0.7",
                        "--p", "0.6", "--q", "0.55")
     assert code == 2
@@ -580,7 +581,8 @@ def test_domain_errors_name_the_value_out_of_range(capsys):
 # At a wide eps, a coefficient within eps outside [1/2, 1] is clamped onto the
 # end, and the record prints the clamped value and decides and takes its
 # entropies on it: q = 0.4999 is q = 1/2, whose pair entropy is 1.  A b
-# within eps below 1 is stored as 1 too, so bell's bound is 1/(2a).
+# within eps below 1 is stored as 1 too, so bell's bound is 1/(2a) and the
+# target's entropy in classify is 0.
 WIDE_EPS_FIELDS = [
     (("classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.4999", "--eps", "9e-4"),
      {"q": "0.5", "joint_after": "(0.4, 0.4, 0.1, 0.1)", "entropy_aux_after": "1"}),
@@ -596,6 +598,8 @@ WIDE_EPS_FIELDS = [
      {"b": "1", "bound": "0.714285714286"}),
     (("region", "--a", "0.7", "--b", "0.9995", "--n", "2", "--eps", "9e-4", "--json"),
      {"b": "1.0"}),
+    (("classify", "--a", "0.7", "--b", "0.9995", "--p", "0.8", "--q", "0.6", "--eps", "9e-4"),
+     {"b": "1", "joint_after": "(0.6, 0.4, 0, 0)", "entropy_target": "0"}),
 ]
 
 

@@ -2,9 +2,11 @@
 with `ast`."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 from pathlib import Path
 
 import entrecovery
@@ -176,6 +178,15 @@ def test_classify_point_keeps_the_traced_call_structure():
     assert tracer.stats["recovery.classify_point"][0] == 1
     assert tracer.stats["recovery.product_spectra"][0] == 1
     assert tracer.stats["majorization.is_majorized_by"][0] >= 1
+    # the classify command prints the spectra its class was decided on, so
+    # one command builds them once
+    tracer = _benchmark_spans().Tracer()
+    cli = importlib.import_module("entrecovery.cli")
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()) as out:
+        status = cli.main(["classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.55"])
+    assert status == 0 and "class: true-recovery" in out.getvalue()
+    assert tracer.stats["cli.main"][0] == 1
+    assert tracer.stats["recovery.product_spectra"][0] == 1
 
 
 def test_no_test_prints_past_the_capture():

@@ -2,9 +2,11 @@
 comments state, and each "Command line" transcript is what the program prints."""
 
 import ast
+import re
 import shlex
 from pathlib import Path
 
+from conftest import cli_equivalence, scalar_equivalence
 from entrecovery.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -56,7 +58,8 @@ def command_line_transcripts() -> list[tuple[list[str], str]]:
 
 def test_readme_command_line_transcripts_match_the_program(capsys):
     transcripts = command_line_transcripts()
-    assert [argv[0] for argv, _ in transcripts] == ["transform", "classify", "bell", "bell", "bell"]
+    assert [argv[0] for argv, _ in transcripts] == [
+        "transform", "classify", "bell", "classify", "bell", "bell"]
     for argv, shown in transcripts:
         code = main(argv)
         out = capsys.readouterr().out
@@ -72,3 +75,13 @@ def test_readme_command_line_transcripts_match_the_program(capsys):
         else:
             assert out == shown
         assert shown.endswith(f"status: {code}\n")
+
+
+def test_readme_counts_the_scripts_items():
+    # README "Tests and scripts" gives the number of scalar draws and of
+    # command lines that side_by_side.py compares
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    draws = re.findall(r"`scalar_equivalence\.py` gives (\d+) seeded float draws", text)
+    argvs = re.findall(r"`cli_equivalence\.py` gives (\d+) fixed command lines", text)
+    assert draws == [str(scalar_equivalence.DRAWS)]
+    assert argvs == [str(len(cli_equivalence.ARGVS))]

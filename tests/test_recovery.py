@@ -378,12 +378,26 @@ def test_can_concentrate_rejects_out_of_range():
         can_concentrate_bell(0.7, 1.3)
 
 
-def test_concentration_boundary_kept_strict():
-    # at a*p = 1/2 exactly the predicate refuses, although the joint spectrum
-    # is still (non-strictly) majorized by the Bell target
-    assert not can_concentrate_bell(1.0, 0.5)
-    joint = tensor(two_qubit(1.0).spectrum, two_qubit(0.5).spectrum)
+@pytest.mark.parametrize("a, p, n, oracle", [
+    (1.0, 0.5, None, None),
+    (0.5, 1.0, 1, RegionClass.COMPLETE_RECOVERY),
+    (0.625, 0.8, 5, RegionClass.TRUE_RECOVERY),
+], ids=["a1-p0.5", "a0.5-p1", "a0.625-p0.8"])
+def test_concentration_boundary_kept_strict(a, p, n, oracle):
+    # at a*p = 1/2 exactly, which in floats holds only at (1, 1/2) and
+    # (1/2, 1), and at (0.625, 0.8), whose exact product is 1/2 + 2**-55, the
+    # predicate refuses, although the joint spectrum is still (non-strictly)
+    # majorized by the Bell target; classify_point and the region cell follow
+    # Nielsen's rule there and answer recovery
+    assert not can_concentrate_bell(a, p)
+    joint = tensor(two_qubit(a).spectrum, two_qubit(p).spectrum)
     assert is_majorized_by(joint, BELL4)
+    if oracle is not None:  # a < b = 1
+        prob = RecoveryProblem(a, 1.0)
+        assert classify_point(prob, p, 0.5) is oracle
+        grid = region_grid(prob, n)
+        i = round((p - 0.5) * 2 * n)
+        assert grid.p_value(i) == p and grid.class_at(i, 0) is oracle
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -569,6 +583,21 @@ def test_grid_axis_is_read_only_and_shared_at_one_resolution():
     pv, qv, _ = axis
     assert pv.tolist() == [0.5 + i / 74 for i in range(38)]
     assert qv.tolist() == [1.0 - v for v in pv.tolist()]
+
+
+def test_region_grid_refines_onto_its_half_resolution():
+    # the grid at 2n holds the grid at n on its even rows and columns: the
+    # axes agree bit for bit, as 0.5 + i/(2n) and 0.5 + 2i/(4n) round the same
+    # rational, and each cell's class depends on its (p, q) alone
+    rng = random.Random("refine")
+    for k in range(120):
+        eps = (1e-12, 1e-9, 1e-6)[k % 3]
+        a = 0.5 if k % 10 == 0 else rng.uniform(0.5, 0.97)
+        b = 1.0 if k % 10 == 1 else rng.uniform(a + 2 * eps, 1.0)
+        prob, n = RecoveryProblem(a, b, Tolerance(eps)), rng.randint(1, 400)
+        fine, coarse = region_grid(prob, 2 * n), region_grid(prob, n)
+        assert (_grid_axis(2 * n)[:, ::2] == _grid_axis(n)).all(), n
+        assert (fine.codes[::2, ::2] == coarse.codes).all(), (a, b, eps, n)
 
 
 def test_region_grids_at_one_resolution_keep_their_own_codes():
