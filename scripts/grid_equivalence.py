@@ -130,8 +130,8 @@ class _Sha256Sink:
 
 def _grid(module, a, b, eps, n):
     # counts, sha256 of the codes and sha256 of the CSV of one grid; counts
-    # come first, while nothing has read codes, so a grid that tallies the
-    # kernel's runs until then is compared by its tally
+    # come first, while nothing has read codes, so a grid that holds the
+    # kernel's census until then is compared by that census
     grid = module.region_grid(module.RecoveryProblem(a, b, module.Tolerance(eps)), n)
     counts = {cls.value: k for cls, k in grid.counts().items()}
     sink = _Sha256Sink()

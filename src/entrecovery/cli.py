@@ -145,7 +145,7 @@ def write_region_csv(grid: RegionGrid, fh) -> dict[RegionClass, int]:
         require_instance("grid", grid, RegionGrid)
     import numpy as np
 
-    counts = grid.counts()  # before codes is read, which drops region_grid's runs
+    counts = grid.counts()  # before codes is read, which drops region_grid's census
     codes = grid.codes
     m = grid.n + 1
     labels = [f"{cls.value}\n" for cls in RegionClass]

@@ -271,11 +271,13 @@ def evaluate_point(
     prob: RecoveryProblem, p: float, q: float
 ) -> tuple[RegionClass, float, float, SchmidtSpectrum, SchmidtSpectrum]:
     """classify_point's one pass: its class, the gated p, q and joint spectra."""
-    x, y = product_spectra(prob, p, q)  # checks prob, p and q
+    if type(prob) is not RecoveryProblem:
+        require_instance("prob", prob, RecoveryProblem)
     a, b, eps = prob.a, prob.b, prob.tol.eps
-    # the predicates see p and q as product_spectra does: clamped floats
+    # gated once: product_spectra takes its fast path on the clamped floats
     if not (type(p) is float and type(q) is float and 0.5 <= p <= 1.0 and 0.5 <= q <= 1.0):
         p, q = require_real_in("p", p, eps), require_real_in("q", q, eps)
+    x, y = product_spectra(prob, p, q)
     x0, x1, x2, x3 = x.values
     y0, y1, y2, y3 = y.values
     # the Tolerance expressions inline: close, lt and, for rev, leq on the
@@ -331,11 +333,11 @@ class RegionGrid(FrozenValue):
 
     codes is a read-only property over a private slot, and the array it
     returns is the caller's to write.  A grid from region_grid also holds
-    the kernel's row runs, which counts() tallies; every read of codes drops
-    them, since a write may follow, and a grid built here has none.
+    the census its kernel took, which counts() returns; every read of codes
+    drops it, since a write may follow, and a grid built here has none.
     """
 
-    __slots__ = ("a", "b", "n", "_codes", "_runs")
+    __slots__ = ("a", "b", "n", "_codes", "_census")
     __match_args__ = ("a", "b", "n", "codes")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -353,11 +355,11 @@ class RegionGrid(FrozenValue):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_codes", codes)
-        object.__setattr__(self, "_runs", None)
+        object.__setattr__(self, "_census", None)
 
     @property
     def codes(self) -> np.ndarray:
-        object.__setattr__(self, "_runs", None)  # the caller may write codes
+        object.__setattr__(self, "_census", None)  # the caller may write codes
         return self._codes
 
     def _check_index(self, k: int) -> int:
@@ -382,21 +384,13 @@ class RegionGrid(FrozenValue):
     def counts(self) -> dict[RegionClass, int]:
         """The number of cells of each class, in RegionClass order.
 
-        While the grid holds region_grid's runs, one weighted bincount
-        tallies their lengths by code, and the rows the kernel patched cell
-        by cell are counted from their codes instead; else it counts the
-        codes, and a code no class has raises OutOfRangeError.
+        While the grid holds region_grid's census, it returns that; else it
+        counts the codes, and a code no class has raises OutOfRangeError.
         """
+        if self._census is not None:
+            return dict(zip(_CLASSES, self._census))
         import numpy as np
-        codes, runs = self._codes, self._runs
-        if runs is not None:
-            run_code, lengths, rows = runs
-            tally = np.bincount(run_code, lengths, len(_CLASSES))
-            if rows.size:
-                tally -= np.bincount(run_code.reshape(-1, 5)[rows].ravel(),
-                                     lengths.reshape(-1, 5)[rows].ravel(), len(_CLASSES))
-                tally += np.bincount(codes[rows].ravel(), minlength=len(_CLASSES))
-            return dict(zip(_CLASSES, map(int, tally.tolist())))
+        codes = self._codes
         counts = {cls: int(np.count_nonzero(codes == _CLASS_CODE[cls])) for cls in RegionClass}
         if sum(counts.values()) != codes.size:
             # class_at raises OutOfRangeError naming the first cell no class has
@@ -425,9 +419,9 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     equal keys, whose codes one np.repeat writes; only rows with an
     equal-spectra cell, an open bracket or a swap cell get key bytes, and
     float comparisons on their open bracket columns, in a pass skipped when
-    no row has any of them.  The grid keeps the runs and the patched rows'
-    indices, which counts() tallies until codes is read.  Deterministic for
-    fixed (a, b, n, eps).
+    no row has any of them.  The grid keeps its census, the run lengths by
+    code with each patched row counted by its codes, which counts() returns
+    until codes is read.  Deterministic for fixed (a, b, n, eps).
     Peak extra memory, for m = n + 1: the (m x m) codes, the O(m) runs and
     thresholds, and per chunk of rows the keys of its patched rows, the
     bool masks of one bracket rectangle (at most chunk x m cells) and index
@@ -513,53 +507,52 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     codes = np.repeat(run_code, lengths).reshape(m, m)
     swap_row = np.abs(pv - b) <= eps
     patched = (fwd_lo < fwd_hi) | (rev_lo < rev_hi) | swap_row
-    if not (np.count_nonzero(patched) or np.count_nonzero(width)):
-        return _kernel_grid(a, b, n, codes, run_code, lengths, patched)
-    chunk = max(1, min(m, 2_000_000 // m))
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        start = np.cumsum(width[lo:hi]) - width[lo:hi]  # each row's first candidate
-        ci = np.repeat(np.arange(lo, hi), width[lo:hi])  # candidate cells (ci, cj)
-        cj = jlo[ci] + np.arange(ci.size) - start[ci - lo]
-        for rank in ranks:  # one rank at a time, on the cells still equal
-            equal = np.abs(rank[0, ci] - rank[1, cj]) <= eps
-            ci, cj = ci[equal], cj[equal]
-        patched[ci] = True
-        rows = lo + np.flatnonzero(patched[lo:hi])
-        if not rows.size:
-            continue
-        buf = bytearray(np.repeat(run_key[rows], run_len[rows].ravel()))
-        keys = np.frombuffer(buf, dtype=np.uint8).reshape(-1, m)
-        keys[rows.searchsorted(ci), cj] |= _EQUAL
-        # classify_point's float comparison op(row value, column value) on
-        # the rectangle of the chunk's open rows, masked to each row's bracket
-        for bit, b_lo, b_hi, op, row_vals, col_vals in (
-                (_FWD, fwd_lo, fwd_hi, np.less_equal, sx, sy_eps),
-                (_REV, rev_lo, rev_hi, np.greater_equal, sx_eps, sy)):
-            at = np.flatnonzero(b_lo[rows] < b_hi[rows])
-            if at.size:
-                # closed rows between open ones have b_lo == b_hi: no column holds
-                span = slice(at[0], at[-1] + 1)
-                r = rows[span]
-                j0, j1 = b_lo[rows[at]].min(), b_hi[rows[at]].max()
-                j = np.arange(j0, j1)
-                hold = j < b_hi[r, None]
-                hold &= b_lo[r, None] <= j
-                for k in range(3):
-                    hold &= op(row_vals[k, r, None], col_vals[k, j0:j1])
-                keys[span, j0:j1] |= hold.view(np.uint8) * bit
-                del hold  # a chunk x m mask: free it before the next one is built
-        # the swap bit: rows with p within eps of b, columns with q within eps of a
-        keys[swap_row[rows]] |= (np.abs(pv - a) <= eps).view(np.uint8) * _SWAP
-        codes[rows] = np.frombuffer(buf.translate(_LADDER_TABLE),
-                                    dtype=np.uint8).reshape(-1, m)
-    return _kernel_grid(a, b, n, codes, run_code, lengths, patched)
-
-
-def _kernel_grid(a, b, n, codes, run_code, lengths, patched) -> RegionGrid:
-    # region_grid's grid, holding the runs that counts() tallies until codes
-    # is read, and the rows whose cells no longer follow their runs
-    import numpy as np
+    if np.count_nonzero(patched) or np.count_nonzero(width):
+        chunk = max(1, min(m, 2_000_000 // m))
+        for lo in range(0, m, chunk):
+            hi = min(lo + chunk, m)
+            start = np.cumsum(width[lo:hi]) - width[lo:hi]  # each row's first candidate
+            ci = np.repeat(np.arange(lo, hi), width[lo:hi])  # candidate cells (ci, cj)
+            cj = jlo[ci] + np.arange(ci.size) - start[ci - lo]
+            for rank in ranks:  # one rank at a time, on the cells still equal
+                equal = np.abs(rank[0, ci] - rank[1, cj]) <= eps
+                ci, cj = ci[equal], cj[equal]
+            patched[ci] = True
+            rows = lo + np.flatnonzero(patched[lo:hi])
+            if not rows.size:
+                continue
+            buf = bytearray(np.repeat(run_key[rows], run_len[rows].ravel()))
+            keys = np.frombuffer(buf, dtype=np.uint8).reshape(-1, m)
+            keys[rows.searchsorted(ci), cj] |= _EQUAL
+            # classify_point's float comparison op(row value, column value) on
+            # the rectangle of the chunk's open rows, masked to each row's bracket
+            for bit, b_lo, b_hi, op, row_vals, col_vals in (
+                    (_FWD, fwd_lo, fwd_hi, np.less_equal, sx, sy_eps),
+                    (_REV, rev_lo, rev_hi, np.greater_equal, sx_eps, sy)):
+                at = np.flatnonzero(b_lo[rows] < b_hi[rows])
+                if at.size:
+                    # closed rows between open ones have b_lo == b_hi: no column holds
+                    span = slice(at[0], at[-1] + 1)
+                    r = rows[span]
+                    j0, j1 = b_lo[rows[at]].min(), b_hi[rows[at]].max()
+                    j = np.arange(j0, j1)
+                    hold = j < b_hi[r, None]
+                    hold &= b_lo[r, None] <= j
+                    for k in range(3):
+                        hold &= op(row_vals[k, r, None], col_vals[k, j0:j1])
+                    keys[span, j0:j1] |= hold.view(np.uint8) * bit
+                    del hold  # a chunk x m mask: free it before the next one is built
+            # the swap bit: rows with p within eps of b, columns with q within eps of a
+            keys[swap_row[rows]] |= (np.abs(pv - a) <= eps).view(np.uint8) * _SWAP
+            codes[rows] = np.frombuffer(buf.translate(_LADDER_TABLE),
+                                        dtype=np.uint8).reshape(-1, m)
+    # the census: run lengths by code, each patched row counted by its codes
+    rows = np.flatnonzero(patched)
+    census = np.bincount(run_code, lengths, len(_CLASSES))
+    if rows.size:
+        census -= np.bincount(run_code.reshape(m, 5)[rows].ravel(),
+                              run_len[rows].ravel(), len(_CLASSES))
+        census += np.bincount(codes[rows].ravel(), minlength=len(_CLASSES))
     grid = RegionGrid(a, b, n, codes)
-    object.__setattr__(grid, "_runs", (run_code, lengths, np.flatnonzero(patched)))
+    object.__setattr__(grid, "_census", tuple(map(int, census.tolist())))
     return grid

@@ -1,5 +1,6 @@
 """Shared construction helpers for the test suite."""
 
+import importlib.util
 import random
 import sys
 from pathlib import Path
@@ -28,6 +29,16 @@ def compare_with_itself(checks):
     finally:
         for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
             del sys.modules[key]
+
+
+def load_benchmark_module(stem):
+    """perfbench/<stem>.py, loaded by path under the name perfbench_<stem>,
+    so the benchmark's files need no package of their own."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_simplex(rng: random.Random, dim: int) -> SchmidtSpectrum:

@@ -192,12 +192,12 @@ def test_region_domain_errors(tmp_path, capsys):
 
 def test_region_summary_takes_the_kernel_tally(tmp_path, capsys, monkeypatch):
     # the CSV writer takes the summary's counts while the grid still holds
-    # region_grid's runs, before its own read of codes drops them
+    # region_grid's census, before its own read of codes drops it
     tallied = []
     counts = entrecovery.RegionGrid.counts
 
     def spy(grid):
-        tallied.append(grid._runs is not None)
+        tallied.append(grid._census is not None)
         return counts(grid)
 
     monkeypatch.setattr(entrecovery.RegionGrid, "counts", spy)

@@ -4,12 +4,12 @@ with `ast`."""
 import ast
 import contextlib
 import importlib
-import importlib.util
 import inspect
 import io
 from pathlib import Path
 
 import entrecovery
+from conftest import load_benchmark_module
 
 PACKAGE = Path(entrecovery.__file__).resolve().parent
 
@@ -114,6 +114,24 @@ def test_the_codes_of_a_grid_are_judged_in_one_place():
     assert found == []
 
 
+def test_the_run_layout_of_a_kernel_grid_is_known_in_one_place():
+    # region_grid takes a grid's census from its row runs and builds the grid
+    # at its one exit; RegionGrid holds the census, so none of its methods
+    # reads runs back (a bincount or a reshape)
+    tree = ast.parse((PACKAGE / "recovery.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    found = [f"recovery.py:{node.lineno} RegionGrid calls .{node.func.attr}"
+             for node in ast.walk(defs["RegionGrid"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("bincount", "reshape")]
+    returns = [node.lineno for node in ast.walk(defs["region_grid"])
+               if isinstance(node, ast.Return)]
+    builds = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "RegionGrid"]
+    assert found == [] and len(returns) == 1 and len(builds) == 1, (found, returns, builds)
+
+
 def test_whether_b_counts_as_one_is_decided_in_one_place():
     # RecoveryProblem stores a b within eps of 1 as 1.0, so the test of b
     # against 1 - eps is written once, and the command-line front end, which
@@ -147,18 +165,10 @@ def test_no_dataclasses_import_in_the_package():
     assert found == []
 
 
-def _benchmark_spans():
-    spans_py = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_py)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
-
-
 def test_benchmark_traced_layers_resolve():
     # perfbench/spans.py traces these functions by name; renaming or removing
     # one would leave the benchmark without that layer
-    spans = _benchmark_spans()
+    spans = load_benchmark_module("spans")
     assert len(spans.LAYERS) == 14
     for name in spans.LAYERS:
         module, *path = name.split(".")
@@ -171,7 +181,7 @@ def test_benchmark_traced_layers_resolve():
 def test_classify_point_keeps_the_traced_call_structure():
     # the benchmark's own tests pin these counts for one classify_point call;
     # they run outside this suite, so an inlined classify_point is caught here
-    tracer = _benchmark_spans().Tracer()
+    tracer = load_benchmark_module("spans").Tracer()
     recovery = importlib.import_module("entrecovery.recovery")
     with tracer.installed():
         recovery.classify_point(recovery.RecoveryProblem(0.7, 0.8), 0.6, 0.55)
@@ -180,7 +190,7 @@ def test_classify_point_keeps_the_traced_call_structure():
     assert tracer.stats["majorization.is_majorized_by"][0] >= 1
     # the classify command prints the spectra its class was decided on, so
     # one command builds them once
-    tracer = _benchmark_spans().Tracer()
+    tracer = load_benchmark_module("spans").Tracer()
     cli = importlib.import_module("entrecovery.cli")
     with tracer.installed(), contextlib.redirect_stdout(io.StringIO()) as out:
         status = cli.main(["classify", "--a", "0.7", "--b", "0.8", "--p", "0.6", "--q", "0.55"])

@@ -38,6 +38,7 @@ from entrecovery import (
     two_qubit,
 )
 from entrecovery.cli import write_region_csv
+from entrecovery.errors import require_real_in
 from entrecovery.recovery import MAX_GRID_N, _grid_axis
 from conftest import (
     grid_equivalence,
@@ -356,6 +357,25 @@ def test_classify_rejects_out_of_range():
         classify_point(RecoveryProblem(0.7, 0.8), 0.3, 0.6)
 
 
+@pytest.mark.parametrize("p", [1.0000000000005, 1, Fraction(3, 5)],
+                         ids=["float-within-eps", "int", "Fraction"])
+def test_classify_point_gates_p_and_q_once(p, monkeypatch):
+    # a p that misses the inline fast path goes through the range gate once,
+    # and q with it; product_spectra then takes its fast path on the results
+    gated = []
+
+    def spy(name, v, *args):
+        gated.append(name)
+        return require_real_in(name, v, *args)
+
+    monkeypatch.setattr("entrecovery.recovery.require_real_in", spy)
+    prob = RecoveryProblem(0.7, 0.8)
+    want = classify_point(prob, float(min(p, 1)), 0.55)
+    gated.clear()
+    assert classify_point(prob, p, 0.55) is want
+    assert gated == ["p", "q"]
+
+
 # ------------------------------------------------------------------- bell
 
 
@@ -618,18 +638,13 @@ def _recount(grid):
 
 
 def test_counts_tally_equals_a_recount_on_family_grids():
-    # counts() first, while the grid holds the kernel's runs, then a recount;
-    # the wide-eps-equal, swap-block and ulp-gap grids have patched rows
+    # counts() first, while the grid holds the kernel's census, then a
+    # recount, each grid at its own n; the wide-eps-equal, swap-block and
+    # ulp-gap grids have patched rows, and the open brackets at n = 1500 and
+    # above patch rows on both sides of a chunk seam
     for family, a, b, eps, n in grid_equivalence.families(0):
-        g = region_grid(_problem(a, b, eps), min(n, 40))
+        g = region_grid(_problem(a, b, eps), n)
         assert g.counts() == _recount(g), (family, a, b, eps, n)
-
-
-def test_counts_tally_equals_a_recount_at_benchmark_resolutions():
-    for family, a, b, eps, n in grid_equivalence.families(0):
-        if family == "four-decimal" and n <= 400:
-            g = region_grid(_problem(a, b, eps), n)
-            assert g.counts() == _recount(g), (a, b, n)
 
 
 def _matched_codes(grid):
