@@ -647,6 +647,13 @@ def test_counts_tally_equals_a_recount_on_family_grids():
         assert g.counts() == _recount(g), (family, a, b, eps, n)
 
 
+def test_counts_tally_equals_a_recount_at_benchmark_resolutions():
+    for family, a, b, eps, n in grid_equivalence.families(0):
+        if family == "four-decimal" and n <= 400:
+            g = region_grid(_problem(a, b, eps), n)
+            assert g.counts() == _recount(g), (a, b, n)
+
+
 def _matched_codes(grid):
     match grid:
         case RegionGrid(_, _, _, codes):
