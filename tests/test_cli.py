@@ -5,8 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import signal
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -285,6 +288,184 @@ def test_write_region_csv_memory_is_bounded_by_its_block():
         tracemalloc.stop()
     assert sink.writes == n + 2
     assert peak < 256 * cli._BLOCK_CELLS, peak  # 8 MiB at 32768 cells a block
+
+
+def _split_families():
+    """The family grids at or above the split threshold that the split-path
+    tests write: open brackets at 1500, swap-block at 1200, and the first
+    four-decimal problem at 1000 and 1500."""
+    draws = list(grid_equivalence.families(0))
+    four = next(draw[1:3] for draw in draws if draw[0] == "four-decimal")
+    return [("open-brackets", *grid_equivalence.OPEN_BRACKETS, 1500),
+            ("swap-block", *grid_equivalence.SWAP_BLOCK, 1200),
+            ("four-decimal", *four, 1e-12, 1000), ("four-decimal", *four, 1e-12, 1500)]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made while a test runs, counted in this process."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _write_csv_file(grid, path, **open_args):
+    """write_region_csv into a file opened as `region --out` opens it, or
+    with open_args instead; returns (census, bytes, fh.tell() after it)."""
+    kwargs = {"mode": "w", "encoding": "utf-8", "newline": "", **open_args}
+    with open(path, **kwargs) as fh:
+        counts = write_region_csv(grid, fh)
+        where = fh.tell()
+    return counts, path.read_bytes(), where
+
+
+def _serial_csv(grid):
+    buf = io.StringIO()
+    return write_region_csv(grid, buf), buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("family,a,b,eps,n", _split_families(),
+                         ids=[f"{draw[0]}-n{draw[4]}" for draw in _split_families()])
+def test_split_write_gives_the_serial_bytes_on_family_grids(tmp_path, forks, family, a, b, eps, n):
+    assert (n + 1) ** 2 >= cli._SPLIT_CELLS
+    prob = RecoveryProblem(a, b, Tolerance(eps))
+    counts, want = _serial_csv(region_grid(prob, n))
+    got_counts, got, where = _write_csv_file(region_grid(prob, n), tmp_path / "grid.csv")
+    assert forks == [1]
+    assert got == want and got_counts == counts and where == len(want)
+    _assert_no_child_left()
+
+
+def test_split_write_takes_the_csv_end_from_a_recounted_census(tmp_path, forks):
+    # a grid built from codes has no kernel census: counts() recounts its codes
+    kernel = region_grid(RecoveryProblem(0.7, 0.8, Tolerance(9e-4)), 600)
+    grid = entrecovery.RegionGrid(kernel.a, kernel.b, kernel.n, kernel.codes)
+    counts, want = _serial_csv(grid)
+    assert _write_csv_file(grid, tmp_path / "grid.csv") == (counts, want, len(want))
+    assert forks == [1]
+
+
+@pytest.mark.parametrize("below", [0, 1], ids=["at-threshold", "one-cell-below"])
+def test_split_starts_at_its_threshold(tmp_path, forks, monkeypatch, below):
+    n = math.isqrt(cli._SPLIT_CELLS)
+    monkeypatch.setattr(cli, "_SPLIT_CELLS", (n + 1) ** 2 + below)
+    grid = region_grid(RecoveryProblem(0.6, 0.9), n)
+    counts, want = _serial_csv(grid)
+    assert _write_csv_file(grid, tmp_path / "grid.csv") == (counts, want, len(want))
+    assert forks == ([] if below else [1])
+
+
+def test_split_threshold_lies_between_the_benchmark_sizes():
+    # region-export's n = 500 ops stay serial and its n = 1000 ones split
+    assert 501 ** 2 < cli._SPLIT_CELLS <= 1001 ** 2
+
+
+@pytest.mark.parametrize("open_args", [{"mode": "a"}, {"newline": "\r\n"},
+                                       {"encoding": "utf-8-sig"}, {"encoding": "utf-16"},
+                                       {"encoding": "cp500"}],
+                         ids=["append", "crlf", "utf-8-sig", "utf-16", "cp500"])
+def test_files_the_split_cannot_address_are_written_serially(tmp_path, forks, monkeypatch,
+                                                              open_args):
+    # a file that appends, or whose bytes are not the rows' ASCII text (cp500
+    # writes the header as 10 bytes, but not as ASCII)
+    monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
+    grid = region_grid(RecoveryProblem(0.7, 0.8), 40)
+    path = tmp_path / "grid.csv"
+    path.write_bytes(b"kept\n")
+    encoding = open_args.get("encoding", "utf-8")
+    want = io.StringIO(newline=open_args.get("newline", ""))
+    write_region_csv(grid, want)
+    want = want.getvalue().encode(encoding)
+    _, got, _ = _write_csv_file(grid, path, **open_args)
+    assert got == (b"kept\n" + want if "a" in open_args.get("mode", "") else want)
+    assert forks == []
+
+
+def test_split_needs_a_child_it_can_reap(tmp_path, forks, monkeypatch):
+    # with SIGCHLD ignored, a child is reaped by the kernel and waitpid fails
+    monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
+    grid = region_grid(RecoveryProblem(0.7, 0.8), 40)
+    counts, want = _serial_csv(grid)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert _write_csv_file(grid, tmp_path / "grid.csv") == (counts, want, len(want))
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert forks == []
+
+
+def _failing_pwrite(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_split_write_raises_the_childs_errno(tmp_path, forks, monkeypatch):
+    # the child inherits the patched os.pwrite, so its half fails as on a full disk
+    monkeypatch.setattr(os, "pwrite", _failing_pwrite)
+    grid = region_grid(RecoveryProblem(0.6, 0.9), 600)
+    with pytest.raises(OSError) as exc:
+        _write_csv_file(grid, tmp_path / "grid.csv")
+    assert (exc.value.errno, exc.value.strerror) == (errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+def test_region_exits_2_when_the_split_child_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "pwrite", _failing_pwrite)
+    out = tmp_path / "grid.csv"
+    code, stdout, err = run(capsys, "region", "--a", "0.6", "--b", "0.9", "--n", "600",
+                            "--out", str(out))
+    serial = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))  # as a serial write raises it
+    assert (code, stdout, err) == (2, "", f"error: cannot write {out}: {serial}\n")
+    _assert_no_child_left()
+
+
+def test_split_write_kills_the_child_when_its_own_rows_fail(tmp_path, forks):
+    grid = region_grid(RecoveryProblem(0.6, 0.9), 600)
+    with open(tmp_path / "grid.csv", "w", encoding="utf-8", newline="") as fh:
+        writes = []
+        write = fh.write
+
+        def failing_write(text):  # the header goes out, this process's first row fails
+            writes.append(text)
+            if writes[1:]:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return write(text)
+
+        fh.write = failing_write
+        with pytest.raises(OSError) as exc:
+            write_region_csv(grid, fh)
+    assert exc.value.errno == errno.EIO and forks == [1]
+    _assert_no_child_left()
+
+
+def test_split_write_memory_is_bounded_per_cell(forks):
+    # this process takes the CSV's end from the census and writes its rows
+    # with the serial path's block arrays and tails; a temporary of intp over
+    # half the grid, as np.bincount or np.take of its codes makes, would
+    # take 8 bytes a cell and break the bound
+    n = 1500
+    grid = region_grid(RecoveryProblem(0.6, 0.9), n)
+    head_cells = (n + 1) // 2 * (n + 1)
+    tracemalloc.start()
+    try:
+        with tempfile.TemporaryFile("w", encoding="utf-8", newline="") as fh:
+            write_region_csv(grid, fh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert forks == [1]
+    assert peak < 4 * head_cells, peak
 
 
 # sha256 of `region --out` bytes: any drift in the CSV format or a class shows here

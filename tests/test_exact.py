@@ -58,6 +58,24 @@ def test_scalar_deciders_agree_with_the_exact_reference():
     assert decided > 2700
 
 
+def _assert_majorization_follows_the_exact_rule(a, b, p, q, tol):
+    """is_majorized_by both ways, and classify_point's increasing/incomparable
+    split, against holds() at tol.eps; returns (fwd, rev), the exact truth."""
+    prob = RecoveryProblem(a, b, tol)
+    x, y = product_spectra(prob, p, q)
+    _, _, gaps = exact.prefix_gaps(
+        exact.products(Fraction(a), Fraction(p)), exact.products(Fraction(b), Fraction(q)))
+    fwd = exact.all_of(exact.holds(g, tol.eps, False) for g in gaps)
+    rev = exact.all_of(exact.holds(-g, tol.eps, False) for g in gaps)
+    assert None not in (fwd, rev), (a, b, p, q)
+    assert is_majorized_by(x, y, tol) is fwd, (a, b, p, q)
+    assert is_majorized_by(y, x, tol) is rev, (a, b, p, q)
+    if not fwd:  # then rev alone splits increasing from incomparable
+        want = RegionClass.ENTANGLEMENT_INCREASING if rev else RegionClass.INCOMPARABLE
+        assert classify_point(prob, p, q) is want, (a, b, p, q)
+    return fwd, rev
+
+
 @pytest.mark.parametrize("eps", (1e-9, 1e-6))
 def test_majorization_follows_the_exact_rule_within_eps(eps):
     # 2*eps and 4*eps across ap = bq, (1-b)(1-q) = (1-a)(1-p) or p = b move
@@ -71,17 +89,16 @@ def test_majorization_follows_the_exact_rule_within_eps(eps):
         b = rng.uniform(a + 0.02, 0.99)
         line, off = rng.choice((1, 2, 3)), rng.choice((-4, -2, 2, 4)) * eps
         p, q = scalar_equivalence.boundary_point(rng, line, a, b, off)
-        prob = RecoveryProblem(a, b, tol)
-        x, y = product_spectra(prob, p, q)
-        _, _, gaps = exact.prefix_gaps(
-            exact.products(Fraction(a), Fraction(p)), exact.products(Fraction(b), Fraction(q)))
-        fwd = exact.all_of(exact.holds(g, eps, False) for g in gaps)
-        rev = exact.all_of(exact.holds(-g, eps, False) for g in gaps)
-        assert None not in (fwd, rev), (a, b, p, q)
-        assert is_majorized_by(x, y, tol) is fwd, (a, b, p, q)
-        assert is_majorized_by(y, x, tol) is rev, (a, b, p, q)
-        if not fwd:  # then rev alone splits increasing from incomparable
-            want = RegionClass.ENTANGLEMENT_INCREASING if rev else RegionClass.INCOMPARABLE
-            assert classify_point(prob, p, q) is want, (a, b, p, q)
-        seen.add((fwd, rev))
+        seen.add(_assert_majorization_follows_the_exact_rule(a, b, p, q, tol))
     assert seen == {(True, False), (False, True), (False, False)}
+    # points 2*eps and 4*eps off the swap point (b, a) on each axis, just
+    # outside the swap class's eps box, where all three prefix gaps are
+    # within a few eps at once
+    rng = random.Random(f"exact-swap-point:{eps}")
+    offsets = [k * eps for k in (-4, -2, 2, 4)]
+    for _ in range(40):
+        a = rng.uniform(0.51, 0.9)
+        b = rng.uniform(a + 0.02, 0.99)
+        for dp in offsets:
+            for dq in offsets:
+                _assert_majorization_follows_the_exact_rule(a, b, b + dp, a + dq, tol)

@@ -3,6 +3,7 @@ scripts/side_by_side.py without git: this tree against itself, imported side
 by side, and against a changed grid code or CSV byte and a grid that raises,
 at n <= 16."""
 
+import os
 import types
 
 import entrecovery
@@ -71,3 +72,16 @@ def test_grid_equivalence_reports_a_grid_whose_csv_bytes_differ():
     assert [(name, draw) for name, draw, *_ in diffs] == [("swap-block", SWAP_BLOCK_16)] * 3
     for *_, got, want in diffs:  # the same codes and counts, other CSV bytes
         assert got[:2] == want[:2] and got[2] != want[2]
+
+
+def test_grid_equivalence_hashes_a_large_grid_from_the_file_the_split_writes(monkeypatch):
+    # from FILE_CELLS, which is at most the split threshold, a grid's CSV is
+    # written to a file, so the two-process writer runs; its hash is the sink's
+    assert grid_equivalence.FILE_CELLS <= entrecovery.cli._SPLIT_CELLS
+    streamed = grid_equivalence.outcomes(entrecovery, SWAP_BLOCK_16)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(grid_equivalence, "FILE_CELLS", 17 ** 2)
+    monkeypatch.setattr(entrecovery.cli, "_SPLIT_CELLS", 17 ** 2)
+    assert grid_equivalence.outcomes(entrecovery, SWAP_BLOCK_16) == streamed
+    assert forks == [1]
