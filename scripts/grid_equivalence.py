@@ -8,17 +8,15 @@ the edge of the range (a just below 1/2, b just above 1), and four-decimal
 problems at the benchmark's resolutions.  A grid's outcome is its counts,
 taken before anything reads its codes, and the sha256 of its codes bytes
 and of its own write_region_csv output, so no grid and no CSV is held once
-it is made.  A grid of fewer than FILE_CELLS cells is hashed as its CSV
-streams; a larger one is written to a temporary file, opened as
-`region --out` opens it, and hashed from there, so write_region_csv takes
-the path it takes for such a file, which splits the rows of a large grid
-between two processes.  A grid that raises has the exception's type and
-message as its outcome, as a scalar call does.
+it is made.  Every grid's CSV is written to a temporary file, opened with
+`region --out`'s encoding and newline, and hashed from there, so
+write_region_csv takes the path it takes for such a file, which splits the
+rows of a large grid between two processes.  A grid that raises has the
+exception's type and message as its outcome, as a scalar call does.
 """
 
 import hashlib
 import math
-import os
 import random
 import tempfile
 
@@ -33,9 +31,6 @@ OPEN_FORWARD_BRACKET = (0.6, 0.8999, 1e-4)
 OPEN_ROW_NO_EQUAL = (0.8, 0.5 + 4 / 12 + 1e-12, 1e-12)
 # the swap point's eps-neighbourhood covers 3 x 3 cells at n = 600
 SWAP_BLOCK = (0.7, 0.8, 9e-4)
-# grids of at least this many cells are hashed from a file: at most the
-# cells from which write_region_csv splits a file's rows (cli._SPLIT_CELLS)
-FILE_CELLS = 1 << 18
 
 
 def edge_of_range(rng, low_a: bool, high_b: bool):
@@ -127,16 +122,6 @@ def families(seed: int):
             yield "four-decimal", *problem, 1e-12, n
 
 
-class _Sha256Sink:
-    """A file-like object whose write feeds the text, UTF-8 encoded, to a sha256."""
-
-    def __init__(self):
-        self.hash = hashlib.sha256()
-
-    def write(self, text):
-        self.hash.update(text.encode())
-
-
 def _grid(module, a, b, eps, n):
     # counts, sha256 of the codes and sha256 of the CSV of one grid; counts
     # come first, while nothing has read codes, so a grid that holds the
@@ -148,19 +133,13 @@ def _grid(module, a, b, eps, n):
 
 
 def _csv_sha256(write_region_csv, grid):
-    # the sha256 of the grid's CSV, through a sink or, from FILE_CELLS, a file
-    if (grid.n + 1) ** 2 < FILE_CELLS:
-        sink = _Sha256Sink()
-        write_region_csv(grid, sink)
-        return sink.hash.hexdigest()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "grid.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_region_csv(grid, fh)
+    # the sha256 of the grid's CSV, written to a file as `region --out` writes it
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as fh:
+        write_region_csv(grid, fh)
+        fh.seek(0)
         digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
+        for chunk in iter(lambda: fh.buffer.read(1 << 20), b""):
+            digest.update(chunk)
         return digest.hexdigest()
 
 

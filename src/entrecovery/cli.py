@@ -137,9 +137,10 @@ def write_region_csv(grid: RegionGrid, fh) -> dict[RegionClass, int]:
     Returns grid.counts(), taken before the first write: it raises on a bad
     code.  The rows come from _csv_rows, one string per grid row, and each
     is one fh.write, except on the split path: a grid of at least
-    _SPLIT_CELLS cells bound for a regular file (see _write_header) is
-    written by two processes (see _write_split).  The bytes are the same on
-    both paths, and fh ends at the end of the CSV.
+    _SPLIT_CELLS cells bound for a regular file, such as `region --out` or
+    a stdout redirected to a file (see _write_header), is written by two
+    processes (see _write_split).  The bytes are the same on both paths,
+    and fh ends at the end of the CSV.
     """
     if type(grid) is not RegionGrid:
         require_instance("grid", grid, RegionGrid)
@@ -162,11 +163,6 @@ def write_region_csv(grid: RegionGrid, fh) -> dict[RegionClass, int]:
     return counts
 
 
-def _rows_per_block(m: int) -> int:
-    # grid rows per block of _csv_rows: bounds its run-edge arrays
-    return max(1, _BLOCK_CELLS // m)
-
-
 def _csv_rows(codes, coords, tails, top, stop):
     """Yield the CSV text of grid rows top .. stop - 1, one string a row.
 
@@ -181,7 +177,7 @@ def _csv_rows(codes, coords, tails, top, stop):
     import numpy as np
 
     m = len(coords)
-    rows_per_block = _rows_per_block(m)
+    rows_per_block = max(1, _BLOCK_CELLS // m)
     for first in range(top, stop, rows_per_block):
         block = codes[first:min(first + rows_per_block, stop)]
         # edge[r, s] marks where a run of row r starts, and its end at s = m
@@ -198,22 +194,40 @@ def _csv_rows(codes, coords, tails, top, stop):
             yield prefix.join(["", *[prefix.join(tails[c][s:e]) for c, s, e in runs]])
 
 
-def _csv_rows_backwards(codes, coords, tails, top, stop):
-    """Yield the CSV text of grid rows stop - 1 down to top, one string a
-    row, from _csv_rows a block at a time."""
-    step = _rows_per_block(len(coords))
-    for first in reversed(range(top, stop, step)):
-        yield from reversed(list(_csv_rows(codes, coords, tails, first, min(first + step, stop))))
-
-
 def _write_header(fh, cells: int) -> int | None:
     """Write the CSV header to fh.  Return the file offset just past it when
-    _write_split may write the rows (see _may_split), else None."""
+    two processes may write the rows of a grid of cells cells to fh (see
+    _write_split), else None.
+
+    That takes at least _SPLIT_CELLS cells, os.fork, os.pwrite and two
+    usable CPUs, a SIGCHLD that is not ignored (the child is reaped), and
+    for fh a UTF-8 text file on a regular file, not open for appending
+    (where pwrite ignores its offset): a terminal, a pipe or `>>` gets the
+    serial path.  The header must also go out as its 10 bytes: no newline
+    translation and no byte-order mark, so every row goes to the file as
+    its ASCII text, one byte a character.
+    """
     header = "p,q,class\n"
-    if not _may_split(fh, cells):
+    split = False
+    if (cells >= _SPLIT_CELLS
+            and all(hasattr(os, f) for f in ("fork", "pwrite", "sched_getaffinity"))):
+        cpus = len(os.sched_getaffinity(0))
+        import codecs
+        import fcntl
+        import signal
+        import stat
+
+        try:
+            fd = fh.fileno()
+            split = (cpus > 1 and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN
+                     and codecs.lookup(fh.encoding).name == "utf-8"
+                     and stat.S_ISREG(os.fstat(fd).st_mode)
+                     and not fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND)
+        except (AttributeError, OSError, ValueError):  # no descriptor: a StringIO or a sink
+            pass
+    if not split:
         fh.write(header)
         return None
-    fd = fh.fileno()
     fh.flush()
     start = os.lseek(fd, 0, os.SEEK_CUR)
     fh.write(header)
@@ -222,54 +236,53 @@ def _write_header(fh, cells: int) -> int | None:
     return top if top - start == 10 else None
 
 
-def _may_split(fh, cells: int) -> bool:
-    """Whether two processes may write the rows of a grid of cells cells to fh.
-
-    That takes at least _SPLIT_CELLS cells, os.fork, os.pwrite and two
-    usable CPUs, a SIGCHLD that is not ignored (the child is reaped), and
-    for fh a UTF-8 text file on a regular file other than sys.stdout, not
-    open for appending (where pwrite ignores its offset).  _write_header
-    also needs the header written as its 10 bytes: no newline translation
-    and no byte-order mark, so every row goes to the file as its ASCII
-    text, one byte a character.
-    """
-    if (cells < _SPLIT_CELLS or fh is sys.stdout
-            or not all(hasattr(os, f) for f in ("fork", "pwrite", "sched_getaffinity"))):
-        return False
-    cpus = len(os.sched_getaffinity(0))
-    import codecs
-    import fcntl
-    import signal
-    import stat
-
-    try:
-        fd = fh.fileno()
-        return (cpus > 1 and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN
-                and codecs.lookup(fh.encoding).name == "utf-8"
-                and stat.S_ISREG(os.fstat(fd).st_mode)
-                and not fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND)
-    except (AttributeError, OSError, ValueError):  # no descriptor: a StringIO or a sink
-        return False
-
-
 def _write_split(fh, end: int, codes, coords, tails) -> None:
     """Write the CSV rows, which end at byte offset end of fh's file and
     start at fh's position, by two processes.
 
     A forked child pwrites rows n down to h, each just before the one
-    after it, from end back.  Meanwhile this process writes rows 0 .. h - 1
-    through fh, then seeks fh to end.  It then reaps the child, killing it
-    first if its own part raised, and raises a failure of the child as
-    OSError(errno).  This process takes 9/16 of the rows: the child starts
+    after it, from end back, a block of _csv_rows at a time.  Meanwhile
+    this process writes rows 0 .. h - 1 through fh, then seeks fh to end.
+    It then reaps the child, killing it first if its own part raised, and
+    raises a failure of the child as OSError(errno).  The child leaves only
+    through os._exit, so it runs no atexit handler and flushes no inherited
+    buffer; its exit status is the errno of an OSError, or EIO for any
+    other failure.  This process takes 9/16 of the rows: the child starts
     a few ms later and pays copy-on-write faults on the shared heap, and in
     interleaved runs at n = 1000 and 1500 9/16 beat 8/16 and 10/16.
     """
     import errno
     import signal
+    import warnings
 
     m = len(coords)
     h = m * 9 // 16
-    pid = _fork_writer(fh.fileno(), end, _csv_rows_backwards(codes, coords, tails, h, m))
+    fd = fh.fileno()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on a fork beside other threads, such as a BLAS
+        # pool; the child runs no BLAS, only its rows' numpy run edges,
+        # string joins and pwrite
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = errno.EIO
+        try:
+            step = max(1, _BLOCK_CELLS // m)
+            for first in reversed(range(h, m, step)):
+                for row in reversed(list(_csv_rows(codes, coords, tails, first,
+                                                   min(first + step, m)))):
+                    data = memoryview(row.encode())
+                    end -= len(data)
+                    offset = end
+                    while data:
+                        written = os.pwrite(fd, data, offset)
+                        offset += written
+                        data = data[written:]
+            status = 0
+        except OSError as exc:
+            status = exc.errno or errno.EIO
+        finally:
+            os._exit(status)
     try:
         for row in _csv_rows(codes, coords, tails, 0, h):
             fh.write(row)
@@ -282,43 +295,6 @@ def _write_split(fh, end: int, codes, coords, tails) -> None:
     if status:
         code = status if status > 0 else errno.EIO  # a signal ended the child
         raise OSError(code, os.strerror(code))
-
-
-def _fork_writer(fd: int, end: int, rows) -> int:
-    """Fork a child that pwrites the row strings of rows to fd, the first
-    to end just before byte offset end and each next one just before the
-    last, and return its pid.
-
-    The child leaves only through os._exit, so it runs no atexit handler and
-    flushes no inherited buffer; its exit status is the errno of an OSError,
-    or EIO for any other failure.
-    """
-    import errno
-    import warnings
-
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on a fork beside other threads, such as a BLAS
-        # pool; the child runs no BLAS, only its rows' numpy run edges,
-        # string joins and pwrite
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid:
-        return pid
-    status = errno.EIO
-    try:
-        for row in rows:
-            data = memoryview(row.encode())
-            end -= len(data)
-            offset = end
-            while data:
-                written = os.pwrite(fd, data, offset)
-                offset += written
-                data = data[written:]
-        status = 0
-    except OSError as exc:
-        status = exc.errno or errno.EIO
-    finally:
-        os._exit(status)
 
 
 def _spectrum_arg(text: str | None, coeff: float | None, tol: Tolerance):

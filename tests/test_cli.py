@@ -11,6 +11,7 @@ import signal
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +391,52 @@ def test_files_the_split_cannot_address_are_written_serially(tmp_path, forks, mo
     _, got, _ = _write_csv_file(grid, path, **open_args)
     assert got == (b"kept\n" + want if "a" in open_args.get("mode", "") else want)
     assert forks == []
+
+
+def test_a_file_with_universal_newlines_splits(tmp_path, forks, monkeypatch):
+    # newline=None translates "\n" to os.linesep, which is "\n" wherever
+    # os.fork exists, so the header goes out as its 10 bytes
+    monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
+    grid = region_grid(RecoveryProblem(0.7, 0.8), 40)
+    counts, want = _serial_csv(grid)
+    assert _write_csv_file(grid, tmp_path / "grid.csv", newline=None) == (counts, want, len(want))
+    assert forks == [1]
+
+
+def test_region_to_stdout_on_a_regular_file_splits(tmp_path, capsys, forks, monkeypatch):
+    # `region ... > file` leaves sys.stdout a UTF-8 text file on a regular file
+    monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
+    _, want = _serial_csv(region_grid(RecoveryProblem(0.7, 0.8), 40))
+    path = tmp_path / "grid.csv"
+    with open(path, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        code = main(["region", "--a", "0.7", "--b", "0.8", "--n", "40"])
+    assert (code, path.read_bytes(), forks) == (0, want, [1])
+    assert capsys.readouterr().err.startswith("command: region\n")
+    _assert_no_child_left()
+
+
+def test_split_write_ignores_the_fork_warning_of_a_threaded_process(tmp_path, monkeypatch):
+    # Python 3.12+ warns in the parent, after the child has started, when
+    # os.fork runs beside other threads; under an "error" filter that
+    # warning would raise and leave the child unreaped
+    fork, forks = os.fork, []
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            forks.append(1)
+            warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    grid = region_grid(RecoveryProblem(0.6, 0.9), 600)
+    counts, want = _serial_csv(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _write_csv_file(grid, tmp_path / "grid.csv") == (counts, want, len(want))
+    assert forks == [1]
+    _assert_no_child_left()
 
 
 def test_split_needs_a_child_it_can_reap(tmp_path, forks, monkeypatch):

@@ -3,6 +3,8 @@ scripts/side_by_side.py without git: this tree against itself, imported side
 by side, and against a changed grid code or CSV byte and a grid that raises,
 at n <= 16."""
 
+import hashlib
+import io
 import os
 import types
 
@@ -75,13 +77,16 @@ def test_grid_equivalence_reports_a_grid_whose_csv_bytes_differ():
 
 
 def test_grid_equivalence_hashes_a_large_grid_from_the_file_the_split_writes(monkeypatch):
-    # from FILE_CELLS, which is at most the split threshold, a grid's CSV is
-    # written to a file, so the two-process writer runs; its hash is the sink's
-    assert grid_equivalence.FILE_CELLS <= entrecovery.cli._SPLIT_CELLS
-    streamed = grid_equivalence.outcomes(entrecovery, SWAP_BLOCK_16)
+    # every grid's CSV is written to a file opened as `region --out` opens it,
+    # so from the split threshold the two-process writer runs; its hash is
+    # that of the one-process bytes
+    _, a, b, eps, n = SWAP_BLOCK_16
+    buf = io.StringIO()
+    grid = entrecovery.region_grid(entrecovery.RecoveryProblem(a, b, entrecovery.Tolerance(eps)), n)
+    entrecovery.cli.write_region_csv(grid, buf)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    monkeypatch.setattr(grid_equivalence, "FILE_CELLS", 17 ** 2)
     monkeypatch.setattr(entrecovery.cli, "_SPLIT_CELLS", 17 ** 2)
-    assert grid_equivalence.outcomes(entrecovery, SWAP_BLOCK_16) == streamed
+    _, _, csv = grid_equivalence._grid(entrecovery, a, b, eps, n)
+    assert csv == hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert forks == [1]

@@ -6,6 +6,7 @@ removed, so its stdout is block-buffered as in a user's shell.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -17,6 +18,7 @@ import pytest
 import entrecovery
 from entrecovery.cli import main
 from conftest import reproduce_examples
+from test_cli import REGION_CSV_SHA256
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = Path(entrecovery.__file__).resolve().parent.parent
@@ -160,6 +162,22 @@ def test_closed_pipe_exits_2(tmp_path):
         proc.stdout.close()  # the reader goes away, as with `| head -1`
         assert proc.wait(timeout=TIMEOUT_S) == 2
     assert err_path.read_text() == "error: [Errno 32] Broken pipe\n"
+
+
+def test_region_to_a_redirected_stdout_writes_the_out_bytes(tmp_path):
+    # `region ... > file`, which takes the two-process export when the grid
+    # is large enough, gives the bytes that --out writes
+    a, b, n, eps, digest = REGION_CSV_SHA256[1]
+    path = tmp_path / "grid.csv"
+    with path.open("wb") as fh:
+        proc = _run(["-m", "entrecovery.cli", "region", "--a", a, "--b", b, "--n", n,
+                     "--eps", eps], stdout=fh)
+    assert proc.returncode == 0, proc.stderr.decode()
+    h = hashlib.sha256()
+    with path.open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    assert h.hexdigest() == digest
 
 
 def test_closed_stdout_fd_exits_2():

@@ -605,19 +605,28 @@ def test_grid_axis_is_read_only_and_shared_at_one_resolution():
     assert qv.tolist() == [1.0 - v for v in pv.tolist()]
 
 
-def test_region_grid_refines_onto_its_half_resolution():
-    # the grid at 2n holds the grid at n on its even rows and columns: the
-    # axes agree bit for bit, as 0.5 + i/(2n) and 0.5 + 2i/(4n) round the same
-    # rational, and each cell's class depends on its (p, q) alone
+def _refinement_problems():
+    """(problem, n): 120 seeded random problems, then every grid family
+    problem at n <= 400."""
     rng = random.Random("refine")
     for k in range(120):
         eps = (1e-12, 1e-9, 1e-6)[k % 3]
         a = 0.5 if k % 10 == 0 else rng.uniform(0.5, 0.97)
         b = 1.0 if k % 10 == 1 else rng.uniform(a + 2 * eps, 1.0)
-        prob, n = RecoveryProblem(a, b, Tolerance(eps)), rng.randint(1, 400)
+        yield RecoveryProblem(a, b, Tolerance(eps)), rng.randint(1, 400)
+    for _, a, b, eps, n in grid_equivalence.families(0):
+        if n <= 400:
+            yield RecoveryProblem(a, b, Tolerance(eps)), n
+
+
+def test_region_grid_refines_onto_its_half_resolution():
+    # the grid at 2n holds the grid at n on its even rows and columns: the
+    # axes agree bit for bit, as 0.5 + i/(2n) and 0.5 + 2i/(4n) round the same
+    # rational, and each cell's class depends on its (p, q) alone
+    for prob, n in _refinement_problems():
         fine, coarse = region_grid(prob, 2 * n), region_grid(prob, n)
         assert (_grid_axis(2 * n)[:, ::2] == _grid_axis(n)).all(), n
-        assert (fine.codes[::2, ::2] == coarse.codes).all(), (a, b, eps, n)
+        assert (fine.codes[::2, ::2] == coarse.codes).all(), (prob, n)
 
 
 def test_region_grids_at_one_resolution_keep_their_own_codes():
