@@ -417,16 +417,20 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
     column).  A cell's predicates pack into one byte, its key, which a table
     built from _ladder maps to its class.  A row is at most five runs of
     equal keys, whose codes one np.repeat writes; only rows with an
-    equal-spectra cell, an open bracket or a swap cell get key bytes, and
-    float comparisons on their open bracket columns, in a pass skipped when
-    no row has any of them.  The grid keeps its census, the run lengths by
+    equal-spectra cell, an open bracket or a swap cell get key bytes, in a
+    pass skipped when no row has any of them.  An open row, whose bracket
+    [lo, hi) leaves columns undecided, ORs classify_point's float
+    comparisons on every column into its key.  That adds exactly the
+    bracket columns' bits: a run sets the fwd bit only from fwd_hi on and
+    the rev bit only before rev_lo, where the bracket proves every prefix
+    comparison holds, and it proves one fails before fwd_lo and from rev_hi
+    on.  The grid keeps its census, the run lengths by
     code with each patched row counted by its codes, which counts() returns
     until codes is read.  Deterministic for fixed (a, b, n, eps).
     Peak extra memory, for m = n + 1: the (m x m) codes, the O(m) runs and
     thresholds, and per chunk of rows the keys of its patched rows, the
-    bool masks of one bracket rectangle (at most chunk x m cells) and index
-    arrays over the equal-spectra windows; no key plane and no float array
-    per cell.
+    masks of its open rows (at most chunk x m cells) and index arrays over
+    the equal-spectra windows; no key plane and no float array per cell.
     """
     if type(prob) is not RecoveryProblem:
         require_instance("prob", prob, RecoveryProblem)
@@ -524,24 +528,17 @@ def region_grid(prob: RecoveryProblem, n: int) -> RegionGrid:
             buf = bytearray(np.repeat(run_key[rows], run_len[rows].ravel()))
             keys = np.frombuffer(buf, dtype=np.uint8).reshape(-1, m)
             keys[rows.searchsorted(ci), cj] |= _EQUAL
-            # classify_point's float comparison op(row value, column value) on
-            # the rectangle of the chunk's open rows, masked to each row's bracket
+            # classify_point's float comparisons op(row value, column value) on
+            # every column of the chunk's open rows, ORed into their keys
             for bit, b_lo, b_hi, op, row_vals, col_vals in (
                     (_FWD, fwd_lo, fwd_hi, np.less_equal, sx, sy_eps),
                     (_REV, rev_lo, rev_hi, np.greater_equal, sx_eps, sy)):
                 at = np.flatnonzero(b_lo[rows] < b_hi[rows])
                 if at.size:
-                    # closed rows between open ones have b_lo == b_hi: no column holds
-                    span = slice(at[0], at[-1] + 1)
-                    r = rows[span]
-                    j0, j1 = b_lo[rows[at]].min(), b_hi[rows[at]].max()
-                    j = np.arange(j0, j1)
-                    hold = j < b_hi[r, None]
-                    hold &= b_lo[r, None] <= j
+                    hold = np.ones((at.size, m), dtype=bool)
                     for k in range(3):
-                        hold &= op(row_vals[k, r, None], col_vals[k, j0:j1])
-                    keys[span, j0:j1] |= hold.view(np.uint8) * bit
-                    del hold  # a chunk x m mask: free it before the next one is built
+                        hold &= op(row_vals[k, rows[at], None], col_vals[k])
+                    keys[at] |= hold.view(np.uint8) * bit
             # the swap bit: rows with p within eps of b, columns with q within eps of a
             keys[swap_row[rows]] |= (np.abs(pv - a) <= eps).view(np.uint8) * _SWAP
             codes[rows] = np.frombuffer(buf.translate(_LADDER_TABLE),

@@ -467,6 +467,19 @@ def test_split_write_raises_the_childs_errno(tmp_path, forks, monkeypatch):
     _assert_no_child_left()
 
 
+def test_split_child_writes_on_after_a_short_write(tmp_path, forks, monkeypatch):
+    # the child inherits the patched os.pwrite, which writes at most 4 KiB a
+    # call, as pwrite may write less than it is given; rows at n = 600 are
+    # about 25 KB, so each takes several calls
+    pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:4096], offset))
+    grid = region_grid(RecoveryProblem(0.6, 0.9), 600)
+    counts, want = _serial_csv(grid)
+    assert _write_csv_file(grid, tmp_path / "grid.csv") == (counts, want, len(want))
+    assert forks == [1]
+    _assert_no_child_left()
+
+
 def test_region_exits_2_when_the_split_child_fails(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "pwrite", _failing_pwrite)
     out = tmp_path / "grid.csv"

@@ -8,6 +8,8 @@ import io
 import os
 import types
 
+import pytest
+
 import entrecovery
 import entrecovery.cli
 from conftest import compare_with_itself, grid_equivalence, side_by_side
@@ -18,13 +20,26 @@ FAMILIES = {"random", "ulp-gap", "open-brackets", "open-forward-bracket",
 SWAP_BLOCK_16 = ("swap-block", *grid_equivalence.SWAP_BLOCK, 16)
 
 
+@pytest.fixture
+def csv_in_memory(monkeypatch):
+    """Hash each grid's CSV from the text written to an in-memory sink, not
+    from a file: at n <= 16 write_region_csv never splits, so a file would
+    take the same path at about 100 us a grid more."""
+    def csv_sha256(write_region_csv, grid):
+        digest = hashlib.sha256()
+        write_region_csv(grid, types.SimpleNamespace(write=lambda text: digest.update(text.encode())))
+        return digest.hexdigest()
+
+    monkeypatch.setattr(grid_equivalence, "_csv_sha256", csv_sha256)
+
+
 def small_grids():
     """The (outcomes, draws) check of every family grid, with n capped at 16."""
     draws = ((f, a, b, eps, min(n, 16)) for f, a, b, eps, n in grid_equivalence.families(0))
     return [(grid_equivalence.outcomes, draws)]
 
 
-def test_grid_equivalence_finds_a_tree_equal_to_itself():
+def test_grid_equivalence_finds_a_tree_equal_to_itself(csv_in_memory):
     compared, diffs = compare_with_itself(small_grids())
     assert {f for f, *_ in grid_equivalence.families(0)} == FAMILIES
     assert set(compared) == FAMILIES
@@ -39,7 +54,7 @@ def stand_in(**changed):
     return types.SimpleNamespace(**{**names, **changed})
 
 
-def test_grid_equivalence_reports_each_grid_that_differs():
+def test_grid_equivalence_reports_each_grid_that_differs(csv_in_memory):
     def region_grid(prob, n):
         grid = entrecovery.region_grid(prob, n)
         if (prob.a, prob.b) == grid_equivalence.SWAP_BLOCK[:2]:
@@ -50,7 +65,7 @@ def test_grid_equivalence_reports_each_grid_that_differs():
     assert [(name, draw) for name, draw, *_ in diffs] == [("swap-block", SWAP_BLOCK_16)] * 3
 
 
-def test_grid_equivalence_reports_a_grid_that_raises():
+def test_grid_equivalence_reports_a_grid_that_raises(csv_in_memory):
     def region_grid(prob, n):
         if (prob.a, prob.b) == grid_equivalence.SWAP_BLOCK[:2]:
             raise IndexError("grid index 17 outside 0..16")
@@ -63,7 +78,7 @@ def test_grid_equivalence_reports_a_grid_that_raises():
         assert want[0] != "raises"
 
 
-def test_grid_equivalence_reports_a_grid_whose_csv_bytes_differ():
+def test_grid_equivalence_reports_a_grid_whose_csv_bytes_differ(csv_in_memory):
     def write_region_csv(grid, fh):
         entrecovery.cli.write_region_csv(grid, fh)
         if (grid.a, grid.b) == grid_equivalence.SWAP_BLOCK[:2]:

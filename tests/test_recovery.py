@@ -607,7 +607,7 @@ def test_grid_axis_is_read_only_and_shared_at_one_resolution():
 
 def _refinement_problems():
     """(problem, n): 120 seeded random problems, then every grid family
-    problem at n <= 400."""
+    problem at 2n <= 3000."""
     rng = random.Random("refine")
     for k in range(120):
         eps = (1e-12, 1e-9, 1e-6)[k % 3]
@@ -615,7 +615,7 @@ def _refinement_problems():
         b = 1.0 if k % 10 == 1 else rng.uniform(a + 2 * eps, 1.0)
         yield RecoveryProblem(a, b, Tolerance(eps)), rng.randint(1, 400)
     for _, a, b, eps, n in grid_equivalence.families(0):
-        if n <= 400:
+        if 2 * n <= 3000:
             yield RecoveryProblem(a, b, Tolerance(eps)), n
 
 
@@ -896,6 +896,17 @@ def test_region_grid_open_forward_bracket_matches_scalar_classifier():
     assert [g.class_at(8, j).value for j in range(2, 8)] == [
         "infeasible", "trivial", "incomparable", "incomparable", "trivial", "incomparable",
     ]
+
+
+def test_region_grid_open_forward_row_at_scale_matches_scalar_classifier():
+    # at n = 1000 the same bracket stays open on row 800, p = 0.9, which the
+    # kernel compares on every column; its neighbours are closed
+    n = 1000
+    g = region_grid(OPEN_FORWARD_BRACKET, n)
+    for i in range(798, 803):
+        p = g.p_value(i)
+        for j in range(n + 1):
+            assert g.class_at(i, j) is classify_point(OPEN_FORWARD_BRACKET, p, g.q_value(j)), (i, j)
 
 
 # b is p_4 + eps at n = 6 with the default eps: on row 4 the target's
